@@ -151,8 +151,8 @@ fn main() {
         }
     }
 
-    // A short batched pass so the server-queue stage (batch workers waiting
-    // for their first sub-query) appears in the decomposition.
+    // A short batched pass so the batch stages appear in the decomposition
+    // (`server_queue` only when a fan-out helper joined a batch).
     println!("measuring batched path ({batch_calls} batches of {batch_size}) ...");
     for i in 0..batch_calls {
         let queries: Vec<ProfileQuery> = (0..batch_size)
@@ -281,11 +281,7 @@ fn main() {
             &miss_b,
             &["network", "cache", "store_load", "kv_fetch"][..],
         ),
-        (
-            "batch",
-            &batch_b,
-            &["client_dispatch", "server_queue", "server"][..],
-        ),
+        ("batch", &batch_b, &["client_dispatch", "server"][..]),
     ] {
         for stage in stages {
             assert!(
@@ -298,6 +294,15 @@ fn main() {
         hit_b.get("store_load").is_none(),
         "cache hits must not touch the persistent store"
     );
+    // `server_queue` is a fan-out helper's wait for its first sub-query: a
+    // batch records one per helper that joined it (none when the handler's
+    // own thread ran every sub-query), and a single query never fans out.
+    for (split, b) in [("hit", &hit_b), ("miss", &miss_b)] {
+        assert!(
+            b.get("server_queue").is_none(),
+            "{split} split must not contain `server_queue` spans: single queries do not fan out"
+        );
+    }
     assert!(
         server_b
             .get("server_measured")

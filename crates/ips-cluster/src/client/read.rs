@@ -6,13 +6,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use ips_core::exec;
 use ips_core::query::{ProfileQuery, QueryResult};
 use ips_types::clock::monotonic_micros;
 use ips_types::{CallerId, IpsError, Result};
 
 use super::pipeline::deadline::DeadlineCharge;
 use super::{BatchQueryOutcome, IpsClusterClient, LatencyBreakdown};
-use crate::rpc::{CallOptions, RpcEndpoint, RpcRequest, RpcResponse, WireCost};
+use crate::rpc::{CallOptions, RpcEndpoint, RpcRequest, RpcResponse};
 
 impl IpsClusterClient {
     /// Query the **local region**, failing over within it and then to other
@@ -180,35 +181,21 @@ impl IpsClusterClient {
                 degraded: degraded_opt,
                 priority,
             };
-            // One frame per endpoint, dispatched concurrently: within a
-            // round the batch pays for the slowest frame only.
-            let ambient = ips_trace::current();
-            type FrameOutcome = (Vec<usize>, Result<RpcResponse>, WireCost);
-            let outcomes: Vec<FrameOutcome> = std::thread::scope(|s| {
-                let handles: Vec<_> = groups
-                    .into_values()
-                    .map(|(ep, idxs)| {
-                        let ambient = ambient.clone();
-                        s.spawn(move || {
-                            let _trace = ambient.map(|(tracer, ctx)| tracer.attach(ctx));
-                            self.attempts.inc();
-                            if round > 0 {
-                                self.retries.inc();
-                            }
-                            let request = RpcRequest::QueryBatch {
-                                caller,
-                                queries: idxs.iter().map(|&i| queries[i].clone()).collect(),
-                            };
-                            let (result, cost) = self.attempt_once(&ep, &request, &opts);
-                            (idxs, result, cost)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // lint: allow(unwrap, reason = "scoped-thread join fails only if the child panicked; re-raising preserves the bug")
-                    .map(|h| h.join().expect("batch frame dispatcher panicked"))
-                    .collect()
+            // One frame per endpoint on the executor: frames overlap as far
+            // as idle helpers allow (this thread runs the rest in turn); the
+            // round's modeled network cost is the slowest frame.
+            let groups: Vec<(Arc<RpcEndpoint>, Vec<usize>)> = groups.into_values().collect();
+            let outcomes = exec::fan_out(groups.len(), |g| {
+                let (ep, idxs) = &groups[g];
+                self.attempts.inc();
+                if round > 0 {
+                    self.retries.inc();
+                }
+                let request = RpcRequest::QueryBatch {
+                    caller,
+                    queries: idxs.iter().map(|&i| queries[i].clone()).collect(),
+                };
+                self.attempt_once(ep, &request, &opts)
             });
 
             let mut round_net = 0u64;
@@ -218,7 +205,7 @@ impl IpsClusterClient {
                 .filter(|&i| candidates[i].get(round).is_none())
                 .collect();
             next_pending.extend(deferred);
-            for (idxs, out, cost) in outcomes {
+            for ((_, idxs), (out, cost)) in groups.into_iter().zip(outcomes) {
                 // Failed frames paid wire time too: within the concurrent
                 // round the batch still waits on the slowest frame, lost or
                 // not, so the failed attempt's cost competes in the max.

@@ -6,6 +6,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use ips_core::exec;
 use ips_types::clock::monotonic_micros;
 use ips_types::{
     ActionTypeId, CallerId, CountVector, Deadline, FeatureId, IpsError, ProfileId, Result, SlotId,
@@ -47,35 +48,19 @@ impl IpsClusterClient {
         }
         let mut root = self.root_span("add_profiles", caller);
         root.set_attr("regions", regions.len().to_string());
-        let ambient = root.context().map(|ctx| (self.tracer(), ctx));
-        // All regions are written concurrently: the client-observed write
-        // latency is the slowest region, not the sum over regions.
-        let outcomes: Vec<Result<LatencyBreakdown>> = std::thread::scope(|s| {
-            let handles: Vec<_> = regions
-                .iter()
-                .map(|region| {
-                    let request = &request;
-                    let ambient = ambient.clone();
-                    s.spawn(move || {
-                        let _trace =
-                            ambient.and_then(|(tracer, ctx)| tracer.map(|t| t.attach(ctx)));
-                        let started_us = monotonic_micros();
-                        self.call_with_failover(pid, request, std::slice::from_ref(region))
-                            .map(|(_, network_us)| {
-                                LatencyBreakdown::from_call(
-                                    monotonic_micros().saturating_sub(started_us),
-                                    network_us,
-                                    0,
-                                )
-                            })
-                    })
+        // Region writes fan out on the executor: they overlap as far as idle
+        // helpers allow, and with none free this thread writes them in turn.
+        // The breakdown returned is the slowest region's.
+        let outcomes = exec::fan_out(regions.len(), |r| {
+            let started_us = monotonic_micros();
+            self.call_with_failover(pid, &request, std::slice::from_ref(&regions[r]))
+                .map(|(_, network_us)| {
+                    LatencyBreakdown::from_call(
+                        monotonic_micros().saturating_sub(started_us),
+                        network_us,
+                        0,
+                    )
                 })
-                .collect();
-            handles
-                .into_iter()
-                // lint: allow(unwrap, reason = "scoped-thread join fails only if the child panicked; re-raising preserves the bug")
-                .map(|h| h.join().expect("region writer panicked"))
-                .collect()
         });
         let mut any_ok = false;
         let mut worst = LatencyBreakdown::default();
@@ -118,24 +103,8 @@ impl IpsClusterClient {
         }
         let mut root = self.root_span("add_profiles", caller);
         root.set_attr("writes", writes.len().to_string());
-        let ambient = root.context().map(|ctx| (self.tracer(), ctx));
-        let region_outcomes: Vec<Result<LatencyBreakdown>> = std::thread::scope(|s| {
-            let handles: Vec<_> = regions
-                .iter()
-                .map(|region| {
-                    let ambient = ambient.clone();
-                    s.spawn(move || {
-                        let _trace =
-                            ambient.and_then(|(tracer, ctx)| tracer.map(|t| t.attach(ctx)));
-                        self.add_batch_in_region(caller, writes, region)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // lint: allow(unwrap, reason = "scoped-thread join fails only if the child panicked; re-raising preserves the bug")
-                .map(|h| h.join().expect("region writer panicked"))
-                .collect()
+        let region_outcomes = exec::fan_out(regions.len(), |r| {
+            self.add_batch_in_region(caller, writes, &regions[r])
         });
         let mut worst = LatencyBreakdown::default();
         let mut any_ok = false;
@@ -191,7 +160,6 @@ impl IpsClusterClient {
                 "no healthy instance in {region}"
             )));
         }
-        let ambient = ips_trace::current();
         // Writes carry the deadline and priority too (an expired write is
         // not applied), but never the degraded opt-in and never hedges.
         let opts = CallOptions {
@@ -199,41 +167,29 @@ impl IpsClusterClient {
             degraded: None,
             priority: self.request_priority(),
         };
-        let outcomes: Vec<(Vec<ProfileWrite>, Result<u64>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = groups
-                .into_values()
-                .map(|(ep, group)| {
-                    let ambient = ambient.clone();
-                    s.spawn(move || {
-                        let _trace = ambient.map(|(tracer, ctx)| tracer.attach(ctx));
-                        self.attempts.inc();
-                        let request = RpcRequest::AddBatch {
-                            caller,
-                            writes: group.clone(),
-                        };
-                        let (result, cost) = self.attempt_once(&ep, &request, &opts);
-                        let out = result.map(|_| cost.total_us());
-                        if out.is_ok() {
-                            self.successes.inc();
-                        }
-                        (group, out)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // lint: allow(unwrap, reason = "scoped-thread join fails only if the child panicked; re-raising preserves the bug")
-                .map(|h| h.join().expect("owner writer panicked"))
-                .collect()
+        let groups: Vec<(Arc<RpcEndpoint>, Vec<ProfileWrite>)> = groups.into_values().collect();
+        let outcomes = exec::fan_out(groups.len(), |g| {
+            let (ep, group) = &groups[g];
+            self.attempts.inc();
+            let request = RpcRequest::AddBatch {
+                caller,
+                writes: group.clone(),
+            };
+            let (result, cost) = self.attempt_once(ep, &request, &opts);
+            let out = result.map(|_| cost.total_us());
+            if out.is_ok() {
+                self.successes.inc();
+            }
+            out
         });
         let mut network_us = 0u64;
-        for (group, out) in outcomes {
+        for ((_, group), out) in groups.iter().zip(outcomes) {
             match out {
                 Ok(net) => network_us = network_us.max(net),
                 Err(e) if e.is_retryable() => {
                     // Frame failed in transit or the owner is down: fall back
                     // to per-profile writes with the normal failover walk.
-                    for w in &group {
+                    for w in group {
                         let request = RpcRequest::Add {
                             caller,
                             table: w.table,

@@ -1113,6 +1113,7 @@ impl<S: ProfileStore + 'static> GCache<S> {
             let interval =
                 std::time::Duration::from_millis(self.config.swap_interval.as_millis().max(1));
             handles.push(
+                // lint: allow(request-path-spawn, reason = "cache swap threads start once with the instance, not per request")
                 std::thread::Builder::new()
                     .name(format!("gcache-swap-{t}"))
                     .spawn(move || {
@@ -1135,6 +1136,7 @@ impl<S: ProfileStore + 'static> GCache<S> {
             let interval =
                 std::time::Duration::from_millis(self.config.flush_interval.as_millis().max(1));
             handles.push(
+                // lint: allow(request-path-spawn, reason = "cache flush threads start once with the instance, not per request")
                 std::thread::Builder::new()
                     .name(format!("gcache-flush-{t}"))
                     .spawn(move || {

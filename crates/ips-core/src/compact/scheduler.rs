@@ -118,6 +118,7 @@ impl CompactionScheduler {
             .map(|i| {
                 let me = Arc::clone(self);
                 let stop = Arc::clone(&stop);
+                // lint: allow(request-path-spawn, reason = "compaction workers start once with the instance, not per request")
                 std::thread::Builder::new()
                     .name(format!("ips-compact-{i}"))
                     .spawn(move || loop {

@@ -20,6 +20,7 @@
 //! * [`isolation`] — the read-write isolation write table (§III-F);
 //! * [`quota`] — per-caller QPS enforcement (§IV, §V-b);
 //! * [`hotconfig`] — live-reloadable configuration (§V-b);
+//! * [`exec`] — the process-wide help-first fan-out executor;
 //! * [`server`] — [`server::IpsInstance`], one deployable compute-cache node
 //!   exposing the write and read APIs.
 //!
@@ -61,6 +62,7 @@
 
 pub mod cache;
 pub mod compact;
+pub mod exec;
 pub mod features;
 pub mod hotconfig;
 pub mod isolation;

@@ -112,6 +112,7 @@ impl IpsInstance {
         // Write-table merge thread.
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
+        // lint: allow(request-path-spawn, reason = "the runtime loop starts once with the instance, not per request")
         let merge_handle = std::thread::Builder::new()
             .name("ips-wt-merge".into())
             .spawn(move || {

@@ -271,6 +271,7 @@ impl ReplicatedKv {
         let stop = Arc::new(AtomicBool::new(false));
         let me = Arc::clone(self);
         let stop2 = Arc::clone(&stop);
+        // lint: allow(request-path-spawn, reason = "the replication pump starts once per replicated store, not per request")
         let handle = std::thread::Builder::new()
             .name("kv-replication-pump".into())
             .spawn(move || {

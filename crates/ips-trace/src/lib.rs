@@ -399,8 +399,8 @@ impl Tracer {
     }
 
     /// Make `ctx` ambient on this thread until the guard drops — how
-    /// fan-out worker threads join the trace of the request that spawned
-    /// them (thread-locals do not cross `thread::scope`).
+    /// fan-out helper threads join the trace of the request whose items
+    /// they run (thread-locals stay on the thread that set them).
     #[must_use]
     pub fn attach(self: &Arc<Self>, ctx: SpanContext) -> ContextGuard {
         ContextGuard {
@@ -409,6 +409,23 @@ impl Tracer {
                 ctx,
             }),
         }
+    }
+
+    /// Record a finished span under `parent` that began at `start_us` (on
+    /// this tracer's clock) and ends now — for a wait that starts on one
+    /// thread and ends on another, such as a fan-out job's queueing delay.
+    pub fn record_since(&self, name: &'static str, parent: SpanContext, start_us: u64) {
+        let rec = SpanRecord {
+            trace: parent.trace,
+            span: self.next_span_id(),
+            parent: Some(parent.span),
+            name,
+            start_us,
+            end_us: self.clock.monotonic_micros().max(start_us),
+            error: false,
+            attrs: Vec::new(),
+        };
+        self.record_finished(rec, parent.sampled);
     }
 
     /// Drain all finished spans collected so far.
@@ -621,6 +638,31 @@ mod tests {
             recs.iter().find(|r| r.name == "cache").unwrap().attr("hit"),
             Some("true")
         );
+    }
+
+    #[test]
+    fn record_since_spans_from_a_past_start_and_honours_sampling() {
+        let t = tracer(SamplerConfig::always());
+        let root = t.root_span("query_batch", 0);
+        let ctx = root.context().unwrap();
+        let start = t.clock().monotonic_micros();
+        t.record_since("server_queue", ctx, start);
+        t.record_since(
+            "server_queue",
+            SpanContext {
+                sampled: false,
+                ..ctx
+            },
+            start,
+        );
+        drop(root);
+        let recs = t.drain();
+        let queue: Vec<_> = recs.iter().filter(|r| r.name == "server_queue").collect();
+        assert_eq!(queue.len(), 1, "an unsampled parent records nothing");
+        assert_eq!(queue[0].parent, Some(ctx.span));
+        assert_eq!(queue[0].trace, ctx.trace);
+        assert_eq!(queue[0].start_us, start);
+        assert!(queue[0].end_us >= start);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The source-level lint pass behind `cargo run -p xtask -- check`.
 //!
-//! Eight repo-specific rules that clippy cannot express:
+//! Nine repo-specific rules that clippy cannot express:
 //!
 //! * `unwrap` — no `.unwrap()` / `.expect(` in non-test code of the serving
 //!   crates; a panic in the serving path takes down every scenario sharing
@@ -39,6 +39,13 @@
 //!   from a handler or client orchestration file reintroduces the scattered
 //!   policy the pipeline refactor removed, and skips the stage ordering
 //!   (deadline before admission before quota) the pipeline guarantees.
+//! * `request-path-spawn` — no `thread::spawn`, `thread::scope` or
+//!   `Builder::new()…spawn(` in serving non-test code outside
+//!   `ips_core::exec`: request-path fan-out goes through the one persistent
+//!   executor, so a request never pays a thread start and concurrency never
+//!   multiplies into OS threads. Threads started once at start-up (the
+//!   compaction workers, the runtime loop, the replication pump, the cache
+//!   background threads) carry an annotation saying so.
 //!
 //! Any rule can be waived on a specific line with an annotation carrying a
 //! mandatory reason:
@@ -78,6 +85,10 @@ pub const SERVING_CRATES: &[&str] = &[
     "ips-ingest",
     "ips-trace",
 ];
+
+/// The fan-out executor: the one serving module allowed to start threads
+/// on the request path (rule i).
+const EXEC_MODULE: &str = "crates/ips-core/src/exec.rs";
 
 /// Methods that put bytes on the wire (or hand work to the replication
 /// pump). A guard alive at one of these calls is rule (c).
@@ -319,6 +330,7 @@ pub fn lint_file(rel: &str, src: &str, kind: FileKind) -> Vec<Violation> {
     // Rule (h): pipeline modules (and the primitives' own defining files)
     // are the only place admission/quota/shed machinery may be invoked.
     let pipeline_file = rel.contains("/pipeline/") || rel.ends_with("/pipeline.rs");
+    let exec_file = rel == EXEC_MODULE;
 
     let mut depth: i32 = 0;
     let mut guards: Vec<ActiveGuard> = Vec::new();
@@ -380,6 +392,28 @@ pub fn lint_file(rel: &str, src: &str, kind: FileKind) -> Vec<Violation> {
                                    (ips_types::clock::sim_clock) or annotate \
                                    `// lint: allow(sleep-in-test, reason = \"...\")`",
                         });
+                    }
+                    // ---- rule (i): thread starts on the request path -----
+                    "thread"
+                        if serving_live
+                            && !exec_file
+                            && path_sep(p + 1)
+                            && (ident_at(p + 3, "spawn") || ident_at(p + 3, "scope"))
+                            && !allows.waives(line, "request-path-spawn") =>
+                    {
+                        let what = format!("thread::{}", ct[p + 3].text);
+                        out.push(request_path_spawn_violation(rel, line, &what));
+                    }
+                    "Builder"
+                        if serving_live
+                            && !exec_file
+                            && path_sep(p + 1)
+                            && ident_at(p + 3, "new")
+                            && punct_at(p + 4, '(')
+                            && chain_calls(&ct, p + 4, "spawn")
+                            && !allows.waives(line, "request-path-spawn") =>
+                    {
+                        out.push(request_path_spawn_violation(rel, line, "Builder::spawn"));
                     }
                     // ---- rule (e): wall-clock reads in serving code ------
                     "Instant" | "SystemTime"
@@ -650,6 +684,35 @@ fn pipeline_purity_violation(rel: &str, line: usize, what: &str) -> Violation {
                client::pipeline) so stage ordering holds, or annotate \
                `// lint: allow(pipeline-purity, reason = \"...\")`",
     }
+}
+
+fn request_path_spawn_violation(rel: &str, line: usize, what: &str) -> Violation {
+    Violation {
+        file: rel.to_string(),
+        line,
+        rule: "request-path-spawn",
+        message: format!("`{what}` starts an OS thread outside the fan-out executor"),
+        hint: "fan out through ips_core::exec::fan_out (persistent helpers, no per-call \
+               spawn), or annotate a start-up thread \
+               `// lint: allow(request-path-spawn, reason = \"...\")`",
+    }
+}
+
+/// Whether the method chain continuing after the call whose `(` is at
+/// `open` (`x(..).a(..).b(..)`) calls `method`. Arguments are skipped
+/// whole, so a `spawn` inside a closure argument does not count.
+fn chain_calls(ct: &[&Tok], open: usize, method: &str) -> bool {
+    let mut p = match_close(ct, open, '(', ')') + 1;
+    while ct.get(p).is_some_and(|t| t.is_punct('.'))
+        && ct.get(p + 1).is_some_and(|t| t.kind == TokKind::Ident)
+        && ct.get(p + 2).is_some_and(|t| t.is_punct('('))
+    {
+        if ct[p + 1].text == method {
+            return true;
+        }
+        p = match_close(ct, p + 2, '(', ')') + 1;
+    }
+    false
 }
 
 /// Mark the token ranges that form the bodies of `fn encode*` /
@@ -1189,5 +1252,61 @@ mod tests {
         assert!(lint_file("crates/ips-core/src/server/handlers.rs", src, SERVING).is_empty());
         let bare = "fn f(&self) { self.quota.check(caller, 0)?; }\n";
         assert!(lint_file("tools/x.rs", bare, PLAIN).is_empty());
+    }
+
+    #[test]
+    fn request_path_spawn_flagged_in_serving_code() {
+        let src = "fn fan(&self) {\n\
+                       std::thread::scope(|s| { s.spawn(|| 1); });\n\
+                       thread::spawn(move || work());\n\
+                       let h = std::thread::Builder::new()\n\
+                           .name(\"w\".into())\n\
+                           .spawn(move || work());\n\
+                   }\n";
+        let v = lint_file("crates/ips-cluster/src/client/write.rs", src, SERVING);
+        assert_eq!(
+            rules(&v),
+            [
+                "request-path-spawn",
+                "request-path-spawn",
+                "request-path-spawn"
+            ]
+        );
+        assert_eq!(
+            v.iter().map(|x| x.line).collect::<Vec<_>>(),
+            [2, 3, 4],
+            "a builder chain is reported at its `Builder` line"
+        );
+    }
+
+    #[test]
+    fn builder_chain_without_spawn_is_not_a_thread_start() {
+        let src = "fn f() {\n\
+                       let q = QueryBuilder::new().limit(3).build();\n\
+                       let b = Builder::new().name(\"x\".into());\n\
+                       let c = Builder::new().stack_size(f(|| pool.spawn(job)));\n\
+                   }\n";
+        assert!(lint_file("crates/ips-core/src/query/mod.rs", src, SERVING).is_empty());
+    }
+
+    #[test]
+    fn request_path_spawn_exempt_in_exec_tests_and_outside_serving() {
+        let src = "fn f() { std::thread::spawn(|| ()); }\n";
+        assert!(lint_file(EXEC_MODULE, src, SERVING).is_empty());
+        assert!(lint_file("crates/ips-bench/src/lib.rs", src, PLAIN).is_empty());
+        assert!(lint_file("tests/x.rs", src, TEST_FILE).is_empty());
+        let in_mod = "#[cfg(test)]\nmod tests {\n fn t() { std::thread::scope(|s| ()); }\n}\n";
+        assert!(lint_file("crates/ips-kv/src/store.rs", in_mod, SERVING).is_empty());
+    }
+
+    #[test]
+    fn request_path_spawn_allow_annotation_waives() {
+        let src = "fn start(&self) {\n\
+                       // lint: allow(request-path-spawn, reason = \"start-up pump thread\")\n\
+                       let h = std::thread::Builder::new()\n\
+                           .spawn(move || pump());\n\
+                       thread::spawn(|| ()); // lint: allow(request-path-spawn, reason = \"one-shot start-up\")\n\
+                   }\n";
+        assert!(lint_file("crates/ips-kv/src/replication.rs", src, SERVING).is_empty());
     }
 }

@@ -24,6 +24,7 @@ BINS=(
   shard_handoff
   crash_torture
   fairness
+  blocking_fanout
 )
 
 cargo build --release -p ips-bench --bins
