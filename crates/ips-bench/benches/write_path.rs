@@ -1,4 +1,4 @@
-//! Micro-bench: the write path (`add_profile` / `add_profiles`).
+//! Micro-bench: the write path (`add_profiles_ctx`).
 //!
 //! Covers the head-slice fast path (timestamps arriving in order), the
 //! late-arrival slow path, batched writes, and the staging-table route with
@@ -7,7 +7,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ips_core::model::ProfileData;
-use ips_core::server::{IpsInstance, IpsInstanceOptions};
+use ips_core::server::{IpsInstance, IpsInstanceOptions, RequestContext};
 use ips_types::clock::sim_clock;
 use ips_types::{
     ActionTypeId, AggregateFunction, CallerId, CountVector, DurationMs, FeatureId, ProfileId,
@@ -102,15 +102,14 @@ fn bench_instance_add(c: &mut Criterion) {
             |b, inst| {
                 b.iter(|| {
                     n += 1;
-                    inst.add_profile(
-                        caller,
+                    inst.add_profiles_ctx(
+                        &RequestContext::new(caller),
                         TABLE,
                         ProfileId::new(n % 1_000),
                         Timestamp::from_millis(1_000 + n),
                         SLOT,
                         LIKE,
-                        FeatureId::new(n % 500),
-                        CountVector::single(1),
+                        &[(FeatureId::new(n % 500), CountVector::single(1))],
                     )
                     .unwrap();
                 })
@@ -146,8 +145,8 @@ fn bench_instance_add(c: &mut Criterion) {
                 b.iter(|| {
                     n += 1;
                     instance
-                        .add_profiles(
-                            caller,
+                        .add_profiles_ctx(
+                            &RequestContext::new(caller),
                             TABLE,
                             ProfileId::new(n % 1_000),
                             Timestamp::from_millis(1_000 + n),

@@ -17,7 +17,7 @@ use ips_bench::{banner, bar_table};
 use ips_core::compact::compactor::compact_profile;
 use ips_core::model::ProfileData;
 use ips_core::query::{engine, ProfileQuery};
-use ips_core::server::{IpsInstance, IpsInstanceOptions};
+use ips_core::server::{IpsInstance, IpsInstanceOptions, RequestContext};
 use ips_metrics::Histogram;
 use ips_types::clock::sim_clock;
 use ips_types::{
@@ -135,22 +135,21 @@ fn main() {
         cfg.isolation.enabled = false;
         cfg.compaction.min_interval = DurationMs::ZERO;
         instance.create_table(TABLE, cfg).unwrap();
-        let caller = CallerId::new(1);
+        let ctx = RequestContext::new(CallerId::new(1));
 
         // Populate 200 users with long histories needing compaction.
         for pid in 0..200u64 {
             for i in 0..200u64 {
                 instance
-                    .add_profile(
-                        caller,
+                    .add_profiles_ctx(
+                        &ctx,
                         TABLE,
                         ProfileId::new(pid),
                         ctl.now()
                             .saturating_sub(DurationMs::from_secs(7_200 - i * 30)),
                         SLOT,
                         LIKE,
-                        FeatureId::new(i % 40),
-                        CountVector::single(1),
+                        &[(FeatureId::new(i % 40), CountVector::single(1))],
                     )
                     .unwrap();
             }
@@ -162,7 +161,7 @@ fn main() {
             let pid = ProfileId::new(round % 200);
             let q = ProfileQuery::top_k(TABLE, pid, SLOT, TimeRange::last_days(1), 10);
             let t0 = std::time::Instant::now();
-            instance.query(caller, &q).unwrap();
+            instance.query_ctx(&ctx, &q).unwrap();
             if inline_compaction {
                 // The pre-optimization behaviour: the request that notices
                 // a long slice list compacts it right there.

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use ips_bench::{banner, latency_row, TABLE};
 use ips_core::query::ProfileQuery;
-use ips_core::server::{IpsInstance, IpsInstanceOptions};
+use ips_core::server::{IpsInstance, IpsInstanceOptions, RequestContext};
 use ips_ingest::{WorkloadConfig, WorkloadGenerator};
 use ips_metrics::Histogram;
 use ips_types::clock::sim_clock;
@@ -39,7 +39,7 @@ fn run(isolation: bool) -> RunResult {
     cfg.isolation.enabled = isolation;
     cfg.isolation.merge_interval = DurationMs::from_secs(2);
     instance.create_table(TABLE, cfg).unwrap();
-    let caller = CallerId::new(1);
+    let ctx = RequestContext::new(CallerId::new(1));
     let mut generator = WorkloadGenerator::new(WorkloadConfig {
         users: 5_000,
         ..Default::default()
@@ -50,8 +50,8 @@ fn run(isolation: bool) -> RunResult {
     for _ in 0..60_000 {
         let rec = generator.instance(ctl.now());
         instance
-            .add_profiles(
-                caller,
+            .add_profiles_ctx(
+                &ctx,
                 TABLE,
                 rec.user,
                 rec.at,
@@ -83,8 +83,8 @@ fn run(isolation: bool) -> RunResult {
                 .collect();
             let t0 = std::time::Instant::now();
             instance
-                .add_profiles(
-                    caller,
+                .add_profiles_ctx(
+                    &ctx,
                     TABLE,
                     rec.user,
                     rec.at,
@@ -104,14 +104,14 @@ fn run(isolation: bool) -> RunResult {
                 20,
             );
             let t0 = std::time::Instant::now();
-            instance.query(caller, &q).unwrap();
+            instance.query_ctx(&ctx, &q).unwrap();
             query_hist.record(t0.elapsed().as_micros() as u64);
         } else {
             let rec = generator.instance(ctl.now());
             let t0 = std::time::Instant::now();
             instance
-                .add_profiles(
-                    caller,
+                .add_profiles_ctx(
+                    &ctx,
                     TABLE,
                     rec.user,
                     rec.at,

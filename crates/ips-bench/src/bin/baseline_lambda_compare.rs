@@ -16,7 +16,7 @@ use std::sync::Arc;
 use ips_baseline::lambda::{LambdaProfileService, LoggedEvent};
 use ips_bench::{banner, TABLE};
 use ips_core::query::ProfileQuery;
-use ips_core::server::{IpsInstance, IpsInstanceOptions};
+use ips_core::server::{IpsInstance, IpsInstanceOptions, RequestContext};
 use ips_ingest::{WorkloadConfig, WorkloadGenerator};
 use ips_types::clock::sim_clock;
 use ips_types::{
@@ -35,7 +35,7 @@ fn main() {
     let mut cfg = TableConfig::new("ips");
     cfg.isolation.enabled = false;
     instance.create_table(TABLE, cfg).unwrap();
-    let caller = CallerId::new(1);
+    let ctx = RequestContext::new(CallerId::new(1));
 
     let lambda = LambdaProfileService::new(100);
     let mut generator = WorkloadGenerator::new(WorkloadConfig {
@@ -61,8 +61,8 @@ fn main() {
                 rec.user
             };
             instance
-                .add_profiles(
-                    caller,
+                .add_profiles_ctx(
+                    &ctx,
                     TABLE,
                     target,
                     rec.at,
@@ -91,15 +91,14 @@ fn main() {
     let fresh_feature = ips_types::FeatureId::new(999_999);
     let slot = ips_types::SlotId::new(1);
     instance
-        .add_profile(
-            caller,
+        .add_profiles_ctx(
+            &ctx,
             TABLE,
             user,
             ctl.now(),
             slot,
             ips_types::ActionTypeId::new(1),
-            fresh_feature,
-            CountVector::single(1),
+            &[(fresh_feature, CountVector::single(1))],
         )
         .unwrap();
     lambda.content_store().put(
@@ -121,7 +120,7 @@ fn main() {
         TimeRange::last(DurationMs::from_mins(5)),
         ips_core::query::FilterPredicate::FeatureIn(vec![fresh_feature]),
     );
-    let ips_sees = !instance.query(caller, &q).unwrap().is_empty();
+    let ips_sees = !instance.query_ctx(&ctx, &q).unwrap().is_empty();
     let lambda_lt_sees = lambda
         .query_long_term_top_k(user, slot, 0, 1_000)
         .iter()
@@ -135,7 +134,7 @@ fn main() {
     println!("2) the motivating 30-day window query");
     let servable = lambda.can_serve_window(DurationMs::from_days(30), ctl.now());
     let q30 = ProfileQuery::top_k(TABLE, user, slot, TimeRange::last_days(30), 10);
-    let ips_30d = instance.query(caller, &q30).unwrap();
+    let ips_30d = instance.query_ctx(&ctx, &q30).unwrap();
     println!("   lambda split can serve it:      {servable}");
     println!(
         "   IPS serves it:                  true ({} features)",
@@ -154,7 +153,7 @@ fn main() {
     let lambda_features = lambda.assemble_short_term_features(user, slot, 100);
     let lambda_lookups = lambda.content_store().lookups.get() - lookups_before;
     let q_recent = ProfileQuery::top_k(TABLE, user, slot, TimeRange::last_days(3), 20);
-    let ips_result = instance.query(caller, &q_recent).unwrap();
+    let ips_result = instance.query_ctx(&ctx, &q_recent).unwrap();
     println!(
         "   lambda: {} content-store lookups for {} features + per-product assembly code",
         lambda_lookups,

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use ips_baseline::PreAggStore;
 use ips_bench::{banner, bar_table, human_bytes, TABLE};
 use ips_core::query::ProfileQuery;
-use ips_core::server::{IpsInstance, IpsInstanceOptions};
+use ips_core::server::{IpsInstance, IpsInstanceOptions, RequestContext};
 use ips_ingest::{WorkloadConfig, WorkloadGenerator};
 use ips_types::clock::sim_clock;
 use ips_types::{CallerId, Clock, DurationMs, TableConfig, TimeRange, Timestamp};
@@ -28,7 +28,7 @@ fn main() {
     let mut cfg = TableConfig::new("ips");
     cfg.isolation.enabled = false;
     instance.create_table(TABLE, cfg).unwrap();
-    let caller = CallerId::new(1);
+    let ctx = RequestContext::new(CallerId::new(1));
 
     let windows = vec![
         DurationMs::from_mins(5),
@@ -49,8 +49,8 @@ fn main() {
     for i in 0..events {
         let rec = generator.instance(ctl.now());
         instance
-            .add_profiles(
-                caller,
+            .add_profiles_ctx(
+                &ctx,
                 TABLE,
                 rec.user,
                 rec.at,
@@ -105,7 +105,7 @@ fn main() {
     let slot = ips_types::SlotId::new(user.raw() as u32 % 8);
     let adhoc = preagg.top_k(user, slot, DurationMs::from_days(3), 0, 10, ctl.now());
     let q = ProfileQuery::top_k(TABLE, user, slot, TimeRange::last_days(3), 10);
-    let ips_adhoc = instance.query(caller, &q).unwrap();
+    let ips_adhoc = instance.query_ctx(&ctx, &q).unwrap();
     println!(
         "   pre-agg: {} (unservable_queries counter = {})",
         if adhoc.is_none() { "REFUSED" } else { "served" },
@@ -128,7 +128,7 @@ fn main() {
             .top_k(user, slot, DurationMs::from_days(7), 0, 1, ctl.now())
             .unwrap();
         let q = ProfileQuery::top_k(TABLE, user, slot, TimeRange::last_days(7), 1);
-        let ips_r = instance.query(caller, &q).unwrap();
+        let ips_r = instance.query_ctx(&ctx, &q).unwrap();
         if let (Some((pre_fid, pre_count)), Some(entry)) = (pre.first(), ips_r.entries.first()) {
             comparisons += 1;
             if *pre_fid == entry.feature && *pre_count == entry.counts.get_or_zero(0) {

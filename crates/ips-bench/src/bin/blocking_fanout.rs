@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use ips_bench::{banner, TABLE};
 use ips_core::query::ProfileQuery;
-use ips_core::server::{IpsInstance, IpsInstanceOptions};
+use ips_core::server::{IpsInstance, IpsInstanceOptions, RequestContext};
 use ips_core::ProfileStore;
 use ips_kv::{Generation, KvNode, KvNodeConfig};
 use ips_types::clock::sim_clock;
@@ -139,7 +139,7 @@ impl Bench {
         let t0 = Instant::now();
         let results = self
             .instance
-            .query_batch(CALLER, &queries)
+            .query_batch_ctx(&RequestContext::new(CALLER), &queries)
             .expect("batch admitted");
         let us = t0.elapsed().as_secs_f64() * 1e6;
         assert!(results.iter().all(Result::is_ok), "cold read failed");

@@ -57,15 +57,14 @@ fn main() {
     for pid in 0..PROFILES {
         for f in 0..3u64 {
             tb.client
-                .add_profile(
+                .add_profiles(
                     caller,
                     TABLE,
                     ProfileId::new(pid),
                     tb.ctl.now(),
                     SlotId::new(1),
                     ActionTypeId::new(1),
-                    FeatureId::new(100 + f),
-                    CountVector::single(1),
+                    &[(FeatureId::new(100 + f), CountVector::single(1))],
                 )
                 .unwrap();
         }

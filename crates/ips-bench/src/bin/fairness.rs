@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use ips_bench::{banner, TABLE};
 use ips_core::query::ProfileQuery;
-use ips_core::server::{IpsInstance, IpsInstanceOptions};
+use ips_core::server::{IpsInstance, IpsInstanceOptions, RequestContext};
 use ips_core::ProfileStore;
 use ips_kv::{Generation, KvNode, KvNodeConfig};
 use ips_metrics::Histogram;
@@ -108,8 +108,8 @@ impl ProfileStore for DelayedStore {
 
 struct Tenants {
     instance: Arc<IpsInstance>,
-    interactive: CallerId,
-    bulk: CallerId,
+    interactive: RequestContext,
+    bulk: RequestContext,
     heavy_profiles: u64,
     /// Monotonic cold-id cursor: every bulk batch reads 8 ids nobody has
     /// touched before, so no read coalesces and none is ever cached.
@@ -182,8 +182,8 @@ fn setup(heavy_profiles: u64) -> Tenants {
             })
             .collect();
         instance
-            .add_profiles(
-                loader,
+            .add_profiles_ctx(
+                &RequestContext::new(loader),
                 TABLE,
                 ProfileId::new(pid),
                 at,
@@ -195,8 +195,8 @@ fn setup(heavy_profiles: u64) -> Tenants {
     }
     Tenants {
         instance,
-        interactive,
-        bulk,
+        interactive: RequestContext::new(interactive),
+        bulk: RequestContext::new(bulk),
         heavy_profiles,
         cold_cursor: AtomicU64::new(0),
     }
@@ -240,7 +240,7 @@ fn interactive_pass(t: &Tenants, rounds: u64, warmup: u64) -> (Histogram, u64) {
     for round in 0..(warmup + rounds) {
         let queries = heavy_batch(t, round);
         let t0 = Instant::now();
-        match t.instance.query_batch(t.interactive, &queries) {
+        match t.instance.query_batch_ctx(&t.interactive, &queries) {
             Ok(results) => {
                 assert!(results.iter().all(Result::is_ok), "warm read failed");
                 if round >= warmup {
@@ -268,7 +268,7 @@ fn main() {
     for round in 0..(t.heavy_profiles / BATCH as u64) {
         let results = t
             .instance
-            .query_batch(t.interactive, &heavy_batch(&t, round * 4 + 1))
+            .query_batch_ctx(&t.interactive, &heavy_batch(&t, round * 4 + 1))
             .unwrap();
         assert!(results.iter().all(Result::is_ok), "warm load failed");
     }
@@ -291,7 +291,7 @@ fn main() {
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     let queries = cold_scan(&t);
-                    match t.instance.query_batch(t.bulk, &queries) {
+                    match t.instance.query_batch_ctx(&t.bulk, &queries) {
                         Ok(_) => {
                             bulk_ok.fetch_add(1, Ordering::Relaxed);
                             // Pace the loop so the flood saturates the

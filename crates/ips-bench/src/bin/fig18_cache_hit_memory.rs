@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use ips_bench::{banner, human_bytes, TABLE};
 use ips_core::query::ProfileQuery;
-use ips_core::server::{IpsInstance, IpsInstanceOptions};
+use ips_core::server::{IpsInstance, IpsInstanceOptions, RequestContext};
 use ips_ingest::{WorkloadConfig, WorkloadGenerator};
 use ips_metrics::TimeSeries;
 use ips_types::clock::sim_clock;
@@ -30,7 +30,7 @@ fn main() {
     cfg.cache.swap_high_watermark = 0.85;
     cfg.cache.swap_low_watermark = 0.80;
     instance.create_table(TABLE, cfg).unwrap();
-    let caller = CallerId::new(1);
+    let ctx = RequestContext::new(CallerId::new(1));
 
     let mut generator = WorkloadGenerator::new(WorkloadConfig {
         users: 60_000,
@@ -46,8 +46,8 @@ fn main() {
     for i in 0..400_000u64 {
         let rec = generator.instance(ctl.now());
         instance
-            .add_profiles(
-                caller,
+            .add_profiles_ctx(
+                &ctx,
                 TABLE,
                 rec.user,
                 rec.at,
@@ -80,12 +80,12 @@ fn main() {
                     TimeRange::last_days(7),
                     20,
                 );
-                instance.query(caller, &q).unwrap();
+                instance.query_ctx(&ctx, &q).unwrap();
             } else {
                 let rec = generator.instance(ctl.now());
                 instance
-                    .add_profiles(
-                        caller,
+                    .add_profiles_ctx(
+                        &ctx,
                         TABLE,
                         rec.user,
                         rec.at,

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use ips_baseline::NaiveProfileStore;
 use ips_bench::{banner, human_bytes, TABLE};
-use ips_core::server::{IpsInstance, IpsInstanceOptions};
+use ips_core::server::{IpsInstance, IpsInstanceOptions, RequestContext};
 use ips_ingest::{WorkloadConfig, WorkloadGenerator};
 use ips_types::clock::sim_clock;
 use ips_types::config::TruncateConfig;
@@ -43,7 +43,7 @@ fn main() {
     cfg.compaction.min_interval = DurationMs::from_mins(30);
     instance.create_table(TABLE, cfg).unwrap();
     let naive = NaiveProfileStore::new(DurationMs::from_mins(5));
-    let caller = CallerId::new(1);
+    let ctx = RequestContext::new(CallerId::new(1));
 
     // One tracked user receiving steady traffic (plus background users so
     // compaction competes for the pool as in production).
@@ -61,8 +61,8 @@ fn main() {
                 let rec = generator.instance(ctl.now());
                 // The tracked user gets this event in both stores.
                 instance
-                    .add_profiles(
-                        caller,
+                    .add_profiles_ctx(
+                        &ctx,
                         TABLE,
                         user,
                         ctl.now(),

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use ips_bench::{banner, TABLE};
 use ips_core::query::ProfileQuery;
-use ips_core::server::{IpsInstance, IpsInstanceOptions};
+use ips_core::server::{IpsInstance, IpsInstanceOptions, RequestContext};
 use ips_ingest::{WorkloadConfig, WorkloadGenerator};
 use ips_metrics::Histogram;
 use ips_types::clock::sim_clock;
@@ -59,8 +59,8 @@ fn main() {
     for i in 0..10_000u64 {
         let rec = generator.instance(ctl.now());
         instance
-            .add_profiles(
-                loader,
+            .add_profiles_ctx(
+                &RequestContext::new(loader),
                 TABLE,
                 rec.user,
                 rec.at,
@@ -100,7 +100,7 @@ fn main() {
             if i % 7 < 3 {
                 serving_attempts += 1;
                 let t0 = std::time::Instant::now();
-                match instance.query(serving, &q) {
+                match instance.query_ctx(&RequestContext::new(serving), &q) {
                     Ok(_) => {
                         serving_hist.record(t0.elapsed().as_micros() as u64);
                         s_ok += 1;
@@ -111,7 +111,7 @@ fn main() {
                 }
             } else {
                 batch_attempts += 1;
-                match instance.query(batch, &q) {
+                match instance.query_ctx(&RequestContext::new(batch), &q) {
                     Ok(_) => {
                         b_ok += 1;
                         batch_ok += 1;

@@ -71,15 +71,14 @@ fn run_arm(warmed: bool, keys: u64) -> ArmResult {
     let region = tb.deployment.regions[0].name.clone();
     for pid in 0..keys {
         tb.client
-            .add_profile(
+            .add_profiles(
                 CALLER,
                 TABLE,
                 ProfileId::new(pid),
                 tb.ctl.now(),
                 SLOT,
                 ActionTypeId::new(1),
-                FeatureId::new(100 + pid),
-                CountVector::single(1),
+                &[(FeatureId::new(100 + pid), CountVector::single(1))],
             )
             .expect("preload write");
     }

@@ -170,15 +170,14 @@ mod tests {
         };
         let tb = testbed(TestbedOptions::default());
         tb.client
-            .add_profile(
+            .add_profiles(
                 CallerId::new(1),
                 TABLE,
                 ProfileId::new(1),
                 tb.ctl.now(),
                 SlotId::new(1),
                 ActionTypeId::new(1),
-                FeatureId::new(1),
-                CountVector::single(1),
+                &[(FeatureId::new(1), CountVector::single(1))],
             )
             .unwrap();
         let q = ProfileQuery::top_k(

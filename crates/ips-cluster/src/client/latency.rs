@@ -80,8 +80,10 @@ impl IpsClusterClient {
     /// Model the persistent-store work a query's cache access performed.
     /// Results that report the measured fetch shape (round trips + bytes —
     /// a projected slice load is far smaller than a full-profile fetch) get
-    /// a shape-aware sample; miss results from older peers that only flag
-    /// `cache_hit = false` fall back to the legacy flat 32 KiB fetch.
+    /// a shape-aware sample. A profile that exists nowhere comes back as
+    /// `QueryResult::default()` (`cache_hit = false`, no fetch shape) after
+    /// the store lookup found nothing; that lookup is charged a flat 32 KiB
+    /// fetch.
     pub(super) fn modeled_storage_us(&self, result: &QueryResult, rng: &mut SmallRng) -> u64 {
         if result.kv_round_trips > 0 {
             let us = self.storage_model.sample_fetch_us(

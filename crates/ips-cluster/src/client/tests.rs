@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use ips_core::query::ProfileQuery;
+use ips_core::RequestContext;
 use ips_kv::KvLatencyModel;
 use ips_types::clock::sim_clock;
 use ips_types::Clock as _;
@@ -18,6 +19,7 @@ use crate::region::{MultiRegionDeployment, MultiRegionOptions};
 
 const TABLE: TableId = TableId(1);
 const CALLER: CallerId = CallerId(1);
+const CTX: RequestContext = RequestContext::new(CALLER);
 const SLOT: SlotId = SlotId(1);
 const LIKE: ActionTypeId = ActionTypeId(1);
 
@@ -44,15 +46,14 @@ fn deployment() -> (MultiRegionDeployment, IpsClusterClient, ips_types::SimClock
 
 fn write(client: &IpsClusterClient, pid: u64, fid: u64, at: Timestamp) {
     client
-        .add_profile(
+        .add_profiles(
             CALLER,
             TABLE,
             ProfileId::new(pid),
             at,
             SLOT,
             LIKE,
-            FeatureId::new(fid),
-            CountVector::single(1),
+            &[(FeatureId::new(fid), CountVector::single(1))],
         )
         .unwrap();
 }
@@ -75,7 +76,7 @@ fn write_fans_out_to_all_regions() {
     for region in &d.regions {
         let mut found = false;
         for ep in &region.endpoints {
-            let r = ep.instance().query(CALLER, &top_k(7)).unwrap();
+            let r = ep.instance().query_ctx(&CTX, &top_k(7)).unwrap();
             if !r.is_empty() {
                 found = true;
             }
@@ -198,15 +199,14 @@ fn no_discovery_no_service() {
     let client = IpsClusterClient::new(discovery, "nowhere", KvLatencyModel::zero());
     client.refresh();
     assert!(matches!(
-        client.add_profile(
+        client.add_profiles(
             CALLER,
             TABLE,
             ProfileId::new(1),
             Timestamp::from_millis(1),
             SLOT,
             LIKE,
-            FeatureId::new(1),
-            CountVector::single(1),
+            &[(FeatureId::new(1), CountVector::single(1))]
         ),
         Err(IpsError::Unavailable(_))
     ));
@@ -300,10 +300,12 @@ fn add_batch_fans_out_to_all_regions() {
     client.add_batch(CALLER, &writes).unwrap();
     for region in &d.regions {
         for pid in 0..20u64 {
-            let found = region
-                .endpoints
-                .iter()
-                .any(|ep| !ep.instance().query(CALLER, &top_k(pid)).unwrap().is_empty());
+            let found = region.endpoints.iter().any(|ep| {
+                !ep.instance()
+                    .query_ctx(&CTX, &top_k(pid))
+                    .unwrap()
+                    .is_empty()
+            });
             assert!(found, "profile {pid} missing from region {}", region.name);
         }
     }
@@ -544,4 +546,14 @@ fn miss_latency_includes_storage_component() {
     let (result, breakdown) = client.query(CALLER, &top_k(7)).unwrap();
     assert!(result.cache_hit);
     assert_eq!(breakdown.storage_us, 0);
+    // A profile that was never written still pays for the store lookup
+    // that found nothing (the flat-fetch branch: no measured fetch shape).
+    let (result, breakdown) = client.query(CALLER, &top_k(8)).unwrap();
+    assert!(result.is_empty());
+    assert!(!result.cache_hit);
+    assert_eq!(result.kv_round_trips, 0);
+    assert!(
+        breakdown.storage_us > 0,
+        "a lookup for an unknown profile must pay modeled storage time"
+    );
 }

@@ -219,20 +219,4 @@ impl IpsClusterClient {
             0,
         ))
     }
-
-    /// Convenience single-feature write.
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_profile(
-        &self,
-        caller: CallerId,
-        table: TableId,
-        pid: ProfileId,
-        at: Timestamp,
-        slot: SlotId,
-        action: ActionTypeId,
-        feature: FeatureId,
-        counts: CountVector,
-    ) -> Result<LatencyBreakdown> {
-        self.add_profiles(caller, table, pid, at, slot, action, &[(feature, counts)])
-    }
 }

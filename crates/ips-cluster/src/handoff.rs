@@ -434,6 +434,7 @@ mod tests {
     use crate::client::IpsClusterClient;
     use crate::region::{MultiRegionDeployment, MultiRegionOptions};
     use ips_core::query::ProfileQuery;
+    use ips_core::RequestContext;
     use ips_kv::KvLatencyModel;
     use ips_types::clock::sim_clock;
     use ips_types::Clock as _;
@@ -486,15 +487,14 @@ mod tests {
     fn write_profiles(client: &IpsClusterClient, ctl: &ips_types::SimClock, n: u64) {
         for pid in 0..n {
             client
-                .add_profile(
+                .add_profiles(
                     CALLER,
                     TABLE,
                     ProfileId::new(pid),
                     ctl.now(),
                     SlotId::new(1),
                     ActionTypeId::new(1),
-                    FeatureId::new(100 + pid),
-                    CountVector::single(1),
+                    &[(FeatureId::new(100 + pid), CountVector::single(1))],
                 )
                 .unwrap();
         }
@@ -543,7 +543,9 @@ mod tests {
         for pid in 0..64u64 {
             if membership.ring.node_for(ProfileId::new(pid)) == Some(new_name.as_str()) {
                 moved += 1;
-                let result = new_instance.query(CALLER, &top_k(pid)).unwrap();
+                let result = new_instance
+                    .query_ctx(&RequestContext::new(CALLER), &top_k(pid))
+                    .unwrap();
                 assert!(
                     result.cache_hit,
                     "moved pid {pid} must be warm on the new owner"

@@ -340,6 +340,7 @@ impl MultiRegionDeployment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ips_core::RequestContext;
     use ips_types::clock::sim_clock;
     use ips_types::{DurationMs, Timestamp};
 
@@ -421,15 +422,14 @@ mod tests {
         assert_eq!(d.discovery.healthy_in_region("region-a").len(), 4);
         // A new instance answers queries (empty profile, but serves).
         let inst = added[0].instance();
-        inst.add_profile(
-            CallerId::new(1),
+        inst.add_profiles_ctx(
+            &RequestContext::new(CallerId::new(1)),
             TableId::new(1),
             ProfileId::new(5),
             ctl.now(),
             SlotId::new(1),
             ActionTypeId::new(1),
-            FeatureId::new(9),
-            CountVector::single(1),
+            &[(FeatureId::new(9), CountVector::single(1))],
         )
         .unwrap();
         let q = ips_core::query::ProfileQuery::top_k(
@@ -439,7 +439,12 @@ mod tests {
             TimeRange::last_days(1),
             5,
         );
-        assert_eq!(inst.query(CallerId::new(1), &q).unwrap().len(), 1);
+        assert_eq!(
+            inst.query_ctx(&RequestContext::new(CallerId::new(1)), &q)
+                .unwrap()
+                .len(),
+            1
+        );
 
         // Scale back in: drains, deregisters, keeps at least one instance.
         let removed = d.scale_in("region-a", 10).unwrap();

@@ -129,22 +129,9 @@ fn decode_span_context(bytes: &[u8]) -> Result<SpanContext> {
 }
 
 impl RpcRequest {
-    /// Serialize for transport.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_traced(None)
-    }
-
-    /// Serialize for transport, stamping the caller's span context into the
-    /// envelope when one is supplied.
-    #[must_use]
-    pub fn encode_traced(&self, trace: Option<&SpanContext>) -> Vec<u8> {
-        self.encode_with(trace, &CallOptions::default())
-    }
-
     /// Serialize for transport with the full envelope: span context plus
-    /// per-call options (deadline budget, priority, degraded opt-in). With
-    /// all of them absent the bytes are identical to [`RpcRequest::encode`].
+    /// per-call options (deadline budget, priority, degraded opt-in). Each
+    /// optional field is written only when present or non-default.
     #[must_use]
     pub fn encode_with(&self, trace: Option<&SpanContext>, opts: &CallOptions) -> Vec<u8> {
         let mut w = WireWriter::with_capacity(256);
@@ -212,17 +199,6 @@ impl RpcRequest {
         put_call_options(&mut w, opts);
         // lint: allow(encode-alloc, reason = "top-level entry point; the transport owns the returned frame")
         w.into_bytes()
-    }
-
-    /// Deserialize from transport bytes.
-    pub fn decode(bytes: &[u8]) -> Result<Self> {
-        Self::decode_envelope(bytes).map(|(req, _)| req)
-    }
-
-    /// Deserialize from transport bytes, surfacing the sender's span
-    /// context if the envelope carries one.
-    pub fn decode_traced(bytes: &[u8]) -> Result<(Self, Option<SpanContext>)> {
-        Self::decode_envelope(bytes).map(|(req, env)| (req, env.trace))
     }
 
     /// Deserialize from transport bytes along with the full optional

@@ -57,7 +57,7 @@ pub struct ProfileWrite {
 /// A request on the wire.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RpcRequest {
-    /// `add_profiles` (the single-feature `add_profile` is a batch of one).
+    /// `add_profiles`: one profile's features at one coordinate.
     Add {
         caller: CallerId,
         table: TableId,

@@ -16,7 +16,8 @@ use ips_types::{
 };
 
 use super::{
-    CallOptions, NetworkModel, ProfileWrite, RpcEndpoint, RpcRequest, RpcResponse, WireCost,
+    CallOptions, NetworkModel, ProfileWrite, RequestEnvelope, RpcEndpoint, RpcRequest, RpcResponse,
+    WireCost,
 };
 
 fn sample_query() -> ProfileQuery {
@@ -81,8 +82,10 @@ fn request_round_trips() {
         },
     ];
     for req in reqs {
-        let bytes = req.encode();
-        assert_eq!(RpcRequest::decode(&bytes).unwrap(), req, "round trip");
+        let bytes = req.encode_with(None, &CallOptions::default());
+        let (decoded, env) = RpcRequest::decode_envelope(&bytes).unwrap();
+        assert_eq!(decoded, req, "round trip");
+        assert_eq!(env, RequestEnvelope::default());
     }
 }
 
@@ -132,8 +135,10 @@ fn batch_request_round_trips() {
         },
     ];
     for req in reqs {
-        let bytes = req.encode();
-        assert_eq!(RpcRequest::decode(&bytes).unwrap(), req, "round trip");
+        let bytes = req.encode_with(None, &CallOptions::default());
+        let (decoded, env) = RpcRequest::decode_envelope(&bytes).unwrap();
+        assert_eq!(decoded, req, "round trip");
+        assert_eq!(env, RequestEnvelope::default());
     }
 }
 
@@ -265,7 +270,7 @@ fn response_round_trips() {
 
 #[test]
 fn garbage_rejected() {
-    assert!(RpcRequest::decode(b"nonsense").is_err());
+    assert!(RpcRequest::decode_envelope(b"nonsense").is_err());
     assert!(RpcResponse::decode(&[0xff, 0xff]).is_err());
 }
 
@@ -365,14 +370,16 @@ fn envelope_trace_context_round_trips() {
         caller: CallerId::new(9),
         query: sample_query(),
     };
-    let bytes = req.encode_traced(Some(&ctx));
-    let (decoded, got) = RpcRequest::decode_traced(&bytes).unwrap();
+    let plain = req.encode_with(None, &CallOptions::default());
+    let bytes = req.encode_with(Some(&ctx), &CallOptions::default());
+    let (decoded, env) = RpcRequest::decode_envelope(&bytes).unwrap();
     assert_eq!(decoded, req);
-    assert_eq!(got, Some(ctx));
-    // A decoder that does not care about tracing still gets the request.
-    assert_eq!(RpcRequest::decode(&bytes).unwrap(), req);
+    assert_eq!(env.trace, Some(ctx));
+    // The context rides after the request body, so a decoder that does not
+    // care about tracing still gets the request.
+    assert!(bytes.starts_with(&plain));
     // Untraced bytes surface no context.
-    assert_eq!(RpcRequest::decode_traced(&req.encode()).unwrap().1, None);
+    assert_eq!(RpcRequest::decode_envelope(&plain).unwrap().1.trace, None);
 
     let resp = RpcResponse::Query(QueryResult::default());
     let bytes = resp.encode_traced(Some(&ctx));
@@ -384,19 +391,21 @@ fn envelope_trace_context_round_trips() {
 
 #[test]
 fn traced_encoding_does_not_change_untraced_bytes() {
-    // `encode()` must stay byte-identical to pre-tracing encoders so
-    // the modeled network cost (a function of frame size) is unchanged.
+    // An untraced frame carries no trace bytes, so the modeled network
+    // cost (a function of frame size) is unchanged for untraced callers.
     let req = RpcRequest::Query {
         caller: CallerId::new(1),
         query: sample_query(),
     };
-    assert_eq!(req.encode(), req.encode_traced(None));
+    let plain = req.encode_with(None, &CallOptions::default());
     let ctx = SpanContext {
         trace: TraceId(1),
         span: SpanId(1),
         sampled: false,
     };
-    assert!(req.encode_traced(Some(&ctx)).len() > req.encode().len());
+    let traced = req.encode_with(Some(&ctx), &CallOptions::default());
+    assert!(traced.len() > plain.len());
+    assert!(traced.starts_with(&plain));
 }
 
 #[test]
@@ -405,10 +414,14 @@ fn deadline_envelope_round_trips_and_absent_is_byte_identical() {
         caller: CallerId::new(1),
         query: sample_query(),
     };
-    // No options → byte-identical to the plain encoder: the modeled
-    // network cost (a function of frame size) must not change for
-    // callers that never set a deadline.
-    assert_eq!(req.encode(), req.encode_with(None, &CallOptions::default()));
+    // No options → no envelope bytes: the modeled network cost (a
+    // function of frame size) must not change for callers that never set
+    // a deadline. Options ride after the request body.
+    let plain = req.encode_with(None, &CallOptions::default());
+    assert_eq!(
+        RpcRequest::decode_envelope(&plain).unwrap().1,
+        RequestEnvelope::default()
+    );
 
     let opts = CallOptions {
         deadline: Some(Deadline::from_budget_us(2_500)),
@@ -416,15 +429,15 @@ fn deadline_envelope_round_trips_and_absent_is_byte_identical() {
         ..CallOptions::default()
     };
     let bytes = req.encode_with(None, &opts);
-    assert!(bytes.len() > req.encode().len());
+    assert!(bytes.len() > plain.len());
     let (decoded, env) = RpcRequest::decode_envelope(&bytes).unwrap();
     assert_eq!(decoded, req);
     assert_eq!(env.deadline, Some(Deadline::from_budget_us(2_500)));
     assert_eq!(env.degraded, Some(DurationMs::from_secs(30)));
     assert_eq!(env.trace, None);
     assert_eq!(env.priority, Priority::Normal);
-    // An options-unaware decoder skips the fields.
-    assert_eq!(RpcRequest::decode(&bytes).unwrap(), req);
+    // The body is unchanged, so an options-unaware decoder skips them.
+    assert!(bytes.starts_with(&plain));
 
     // Each option also travels alone.
     let deadline_only = CallOptions {
@@ -449,14 +462,15 @@ fn priority_envelope_round_trips() {
         priority: Priority::Bulk,
         ..CallOptions::default()
     };
+    let plain = req.encode_with(None, &CallOptions::default());
     let bytes = req.encode_with(None, &bulk_only);
-    assert!(bytes.len() > req.encode().len());
+    assert!(bytes.len() > plain.len());
     let (decoded, env) = RpcRequest::decode_envelope(&bytes).unwrap();
     assert_eq!(decoded, req);
     assert_eq!(env.priority, Priority::Bulk);
     assert_eq!(env.deadline, None, "priority alone must not arm a deadline");
-    // An options-unaware decoder skips the field.
-    assert_eq!(RpcRequest::decode(&bytes).unwrap(), req);
+    // The body is unchanged, so an options-unaware decoder skips it.
+    assert!(bytes.starts_with(&plain));
 
     // ...and alongside a deadline, both survive.
     let both = CallOptions {
@@ -482,7 +496,10 @@ fn normal_priority_is_never_encoded() {
         priority: Priority::Normal,
         ..CallOptions::default()
     };
-    assert_eq!(req.encode(), req.encode_with(None, &explicit_normal));
+    assert_eq!(
+        req.encode_with(None, &CallOptions::default()),
+        req.encode_with(None, &explicit_normal)
+    );
     let deadline_normal = CallOptions {
         deadline: Some(Deadline::from_budget_us(7)),
         priority: Priority::Normal,

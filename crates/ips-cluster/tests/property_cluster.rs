@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use ips_cluster::rpc::{RpcRequest, RpcResponse};
+use ips_cluster::rpc::{CallOptions, RpcRequest, RpcResponse};
 use ips_cluster::HashRing;
 use ips_core::query::{FeatureEntry, FilterPredicate, ProfileQuery, QueryKind, QueryResult};
 use ips_types::config::DecayFunction;
@@ -133,7 +133,8 @@ proptest! {
                 .map(|(f, c)| (FeatureId::new(f), c))
                 .collect(),
         };
-        prop_assert_eq!(RpcRequest::decode(&req.encode()).unwrap(), req);
+        let bytes = req.encode_with(None, &CallOptions::default());
+        prop_assert_eq!(RpcRequest::decode_envelope(&bytes).unwrap().0, req);
     }
 
     #[test]
@@ -142,7 +143,8 @@ proptest! {
             caller: CallerId::new(caller),
             query,
         };
-        prop_assert_eq!(RpcRequest::decode(&req.encode()).unwrap(), req);
+        let bytes = req.encode_with(None, &CallOptions::default());
+        prop_assert_eq!(RpcRequest::decode_envelope(&bytes).unwrap().0, req);
     }
 
     #[test]
@@ -185,7 +187,7 @@ proptest! {
 
     #[test]
     fn rpc_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = RpcRequest::decode(&bytes);
+        let _ = RpcRequest::decode_envelope(&bytes);
         let _ = RpcResponse::decode(&bytes);
     }
 

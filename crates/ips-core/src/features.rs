@@ -17,12 +17,11 @@ use std::sync::Arc;
 
 use ips_types::config::DecayFunction;
 use ips_types::{
-    ActionTypeId, CallerId, ProfileId, Result, SlotId, SortKey, SortOrder, TableId, TimeRange,
-    Timestamp,
+    ActionTypeId, ProfileId, Result, SlotId, SortKey, SortOrder, TableId, TimeRange, Timestamp,
 };
 
 use crate::query::{FilterPredicate, ProfileQuery, QueryKind};
-use crate::server::IpsInstance;
+use crate::server::{IpsInstance, RequestContext};
 
 /// How one query's entries reduce to scalar feature values.
 #[derive(Clone, Debug, PartialEq)]
@@ -244,7 +243,7 @@ impl FeatureVector {
 /// profile query; results reduce into the flat vector in spec order.
 pub fn assemble(
     instance: &Arc<IpsInstance>,
-    caller: CallerId,
+    ctx: &RequestContext,
     template: &FeatureTemplate,
     profile: ProfileId,
 ) -> Result<FeatureVector> {
@@ -252,7 +251,7 @@ pub fn assemble(
     let now = instance.clock().now();
     for spec in &template.specs {
         let query = spec.to_query(template.table, profile);
-        let result = instance.query(caller, &query)?;
+        let result = instance.query_ctx(ctx, &query)?;
         match &spec.reduction {
             Reduction::SumAttribute(attr) => {
                 let sum: i64 = result
@@ -316,13 +315,13 @@ pub fn assemble(
 /// sink the batch.
 pub fn assemble_batch(
     instance: &Arc<IpsInstance>,
-    caller: CallerId,
+    ctx: &RequestContext,
     template: &FeatureTemplate,
     profiles: &[ProfileId],
 ) -> Vec<Result<FeatureVector>> {
     profiles
         .iter()
-        .map(|pid| assemble(instance, caller, template, *pid))
+        .map(|pid| assemble(instance, ctx, template, *pid))
         .collect()
 }
 
@@ -347,10 +346,11 @@ mod tests {
     use super::*;
     use crate::server::IpsInstanceOptions;
     use ips_types::clock::sim_clock;
-    use ips_types::{CountVector, DurationMs, FeatureId, TableConfig};
+    use ips_types::{CallerId, CountVector, DurationMs, FeatureId, TableConfig};
 
     const TABLE: TableId = TableId(1);
     const CALLER: CallerId = CallerId(1);
+    const CTX: RequestContext = RequestContext::new(CALLER);
     const SLOT: SlotId = SlotId(1);
     const CLICK: usize = 0;
     const IMPRESSION: usize = 1;
@@ -371,15 +371,14 @@ mod tests {
             [(1u64, 10i64, 100i64, 1u64), (2, 30, 50, 2), (3, 5, 500, 20)]
         {
             instance
-                .add_profile(
-                    CALLER,
+                .add_profiles_ctx(
+                    &CTX,
                     TABLE,
                     user,
                     ctl.now().saturating_sub(DurationMs::from_days(days_ago)),
                     SLOT,
                     ActionTypeId::new(1),
-                    FeatureId::new(fid),
-                    CountVector::pair(clicks, imps),
+                    &[(FeatureId::new(fid), CountVector::pair(clicks, imps))],
                 )
                 .unwrap();
         }
@@ -440,7 +439,7 @@ mod tests {
     fn assembles_expected_values() {
         let (instance, _ctl, user) = setup();
         let t = template();
-        let v = assemble(&instance, CALLER, &t, user).unwrap();
+        let v = assemble(&instance, &CTX, &t, user).unwrap();
         assert_eq!(v.values.len(), t.width());
         // clicks_7d: fids 1 and 2 are within 7 days: 10 + 30 = 40.
         assert_eq!(v.get(&t, "clicks_7d"), Some(40.0));
@@ -461,7 +460,7 @@ mod tests {
     fn empty_profile_yields_zero_vector() {
         let (instance, _ctl, _user) = setup();
         let t = template();
-        let v = assemble(&instance, CALLER, &t, ProfileId::new(404)).unwrap();
+        let v = assemble(&instance, &CTX, &t, ProfileId::new(404)).unwrap();
         assert_eq!(v.values, vec![0.0; t.width()]);
     }
 
@@ -475,7 +474,7 @@ mod tests {
             CLICK,
             10,
         ));
-        let v = assemble(&instance, CALLER, &t, user).unwrap();
+        let v = assemble(&instance, &CTX, &t, user).unwrap();
         assert_eq!(v.values.len(), 10);
         assert_eq!(v.values[3], 0.0, "only 3 features exist; rest zero-padded");
     }
@@ -496,8 +495,8 @@ mod tests {
                 },
             ),
         );
-        let vp = assemble(&instance, CALLER, &plain, user).unwrap();
-        let vd = assemble(&instance, CALLER, &decayed, user).unwrap();
+        let vp = assemble(&instance, &CTX, &plain, user).unwrap();
+        let vd = assemble(&instance, &CTX, &decayed, user).unwrap();
         assert!(
             vd.values[0] < vp.values[0],
             "{} !< {}",
@@ -512,7 +511,7 @@ mod tests {
         // A caller with zero quota fails; per-profile errors must not sink
         // the batch shape.
         let t = template();
-        let results = assemble_batch(&instance, CALLER, &t, &[user, ProfileId::new(404)]);
+        let results = assemble_batch(&instance, &CTX, &t, &[user, ProfileId::new(404)]);
         assert_eq!(results.len(), 2);
         assert!(results.iter().all(Result::is_ok));
         // Quota failure case:
@@ -523,7 +522,12 @@ mod tests {
                 burst_factor: 1.0,
             },
         );
-        let results = assemble_batch(&instance, CallerId::new(9), &t, &[user]);
+        let results = assemble_batch(
+            &instance,
+            &RequestContext::new(CallerId::new(9)),
+            &t,
+            &[user],
+        );
         assert!(matches!(
             results[0],
             Err(ips_types::IpsError::QuotaExceeded(_))
@@ -534,13 +538,13 @@ mod tests {
     fn training_sample_line_is_stable() {
         let (instance, _ctl, user) = setup();
         let t = template();
-        let v = assemble(&instance, CALLER, &t, user).unwrap();
+        let v = assemble(&instance, &CTX, &t, user).unwrap();
         let line = to_training_sample(&t, &v);
         assert!(line.contains("clicks_7d:40"));
         assert!(line.contains("top_clicks_30d[0]:30"));
         assert!(line.starts_with(&format!("{user}\t")));
         // Serving and training see the same values by construction.
-        let v2 = assemble(&instance, CALLER, &t, user).unwrap();
+        let v2 = assemble(&instance, &CTX, &t, user).unwrap();
         assert_eq!(to_training_sample(&t, &v2), line);
     }
 }

@@ -27,7 +27,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use ips_core::server::{IpsInstance, IpsInstanceOptions};
+//! use ips_core::server::{IpsInstance, IpsInstanceOptions, RequestContext};
 //! use ips_core::query::ProfileQuery;
 //! use ips_types::*;
 //!
@@ -40,23 +40,23 @@
 //! config.isolation.enabled = false;
 //! instance.create_table(table, config).unwrap();
 //!
+//! let ctx = RequestContext::new(CallerId::new(1));
 //! let alice = ProfileId::from_name("Alice");
 //! let sports = SlotId::new(1);
 //! instance
-//!     .add_profile(
-//!         CallerId::new(1),
+//!     .add_profiles_ctx(
+//!         &ctx,
 //!         table,
 //!         alice,
 //!         clock.now(),
 //!         sports,
 //!         ActionTypeId::new(1),
-//!         FeatureId::from_name("Golden State Warriors"),
-//!         CountVector::single(2),
+//!         &[(FeatureId::from_name("Golden State Warriors"), CountVector::single(2))],
 //!     )
 //!     .unwrap();
 //!
 //! let query = ProfileQuery::top_k(table, alice, sports, TimeRange::last_days(10), 1);
-//! let result = instance.query(CallerId::new(1), &query).unwrap();
+//! let result = instance.query_ctx(&ctx, &query).unwrap();
 //! assert_eq!(result.entries[0].feature, FeatureId::from_name("Golden State Warriors"));
 //! ```
 

@@ -2,17 +2,16 @@
 //!
 //! Every handler runs the request pipeline once up front
 //! ([`super::pipeline::ServerPipeline::admit`]) and then does only compute;
-//! cross-cutting policy lives in the pipeline stages, not here. The legacy
-//! per-caller surface (`query(caller, ..)`) wraps the context-carrying
-//! surface (`query_ctx(&RequestContext, ..)`) with a default context.
+//! cross-cutting policy lives in the pipeline stages, not here. Each entry
+//! point has one form, taking the request's [`RequestContext`] (caller,
+//! priority, deadline, degraded opt-in) as its first argument.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use ips_types::clock::monotonic_micros;
 use ips_types::{
-    ActionTypeId, CallerId, CountVector, FeatureId, IpsError, ProfileId, Result, SlotId, TableId,
-    Timestamp,
+    ActionTypeId, CountVector, FeatureId, IpsError, ProfileId, Result, SlotId, TableId, Timestamp,
 };
 
 use crate::exec;
@@ -25,47 +24,10 @@ use super::IpsInstance;
 impl IpsInstance {
     // ---- write API (§II-B) -------------------------------------------------
 
-    /// `add_profile`: record one observation.
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_profile(
-        self: &Arc<Self>,
-        caller: CallerId,
-        table: TableId,
-        pid: ProfileId,
-        at: Timestamp,
-        slot: SlotId,
-        action: ActionTypeId,
-        feature: FeatureId,
-        counts: CountVector,
-    ) -> Result<()> {
-        self.add_profiles(caller, table, pid, at, slot, action, &[(feature, counts)])
-    }
-
-    /// `add_profiles`: the batched write API. All features share one
-    /// `(timestamp, slot, action)` coordinate, as in the paper's interface.
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_profiles(
-        self: &Arc<Self>,
-        caller: CallerId,
-        table: TableId,
-        pid: ProfileId,
-        at: Timestamp,
-        slot: SlotId,
-        action: ActionTypeId,
-        features: &[(FeatureId, CountVector)],
-    ) -> Result<()> {
-        self.add_profiles_ctx(
-            &RequestContext::new(caller),
-            table,
-            pid,
-            at,
-            slot,
-            action,
-            features,
-        )
-    }
-
-    /// [`IpsInstance::add_profiles`] with an explicit request context.
+    /// `add_profiles`: the write API. All features share one
+    /// `(timestamp, slot, action)` coordinate, as in the paper's interface;
+    /// `ctx` carries the caller, priority and deadline the pipeline admits
+    /// the write under.
     #[allow(clippy::too_many_arguments)]
     pub fn add_profiles_ctx(
         self: &Arc<Self>,
@@ -150,16 +112,10 @@ impl IpsInstance {
     /// Execute one profile query (`get_profile_topK` / `_filter` /
     /// `_decay`, selected by [`ProfileQuery::kind`]). Unknown profiles
     /// return an empty result — the recommendation path treats "no profile"
-    /// as "no features", not an error.
-    pub fn query(self: &Arc<Self>, caller: CallerId, query: &ProfileQuery) -> Result<QueryResult> {
-        self.query_ctx(&RequestContext::new(caller), query)
-    }
-
-    /// [`IpsInstance::query`] with an explicit request context: an expired
-    /// deadline is shed before any compute (load shedding — computing a
-    /// result nobody is waiting for only steals capacity from live work),
-    /// and a degraded opt-in lets `Storage` failures fall back to retained
-    /// stale data.
+    /// as "no features", not an error. An expired deadline in `ctx` is shed
+    /// before any compute (load shedding — computing a result nobody is
+    /// waiting for only steals capacity from live work), and a degraded
+    /// opt-in lets `Storage` failures fall back to retained stale data.
     pub fn query_ctx(
         self: &Arc<Self>,
         ctx: &RequestContext,
@@ -177,7 +133,7 @@ impl IpsInstance {
         pipeline::run_subquery(self, ctx, query)
     }
 
-    /// [`IpsInstance::query`] minus the pipeline — the raw compute body
+    /// [`IpsInstance::query_ctx`] minus the pipeline — the raw compute body
     /// shared by the single and batched paths (the degraded stage wraps it).
     pub(crate) fn query_inner(self: &Arc<Self>, query: &ProfileQuery) -> Result<QueryResult> {
         let rt = self.table(query.table)?;
@@ -218,15 +174,7 @@ impl IpsInstance {
     /// executor ([`crate::exec`]) so large batches parallelize server-side
     /// on a fixed set of threads. Results are per-sub-query and in input
     /// order — one failing profile does not poison its siblings.
-    pub fn query_batch(
-        self: &Arc<Self>,
-        caller: CallerId,
-        queries: &[ProfileQuery],
-    ) -> Result<Vec<Result<QueryResult>>> {
-        self.query_batch_ctx(&RequestContext::new(caller), queries)
-    }
-
-    /// [`IpsInstance::query_batch`] with an explicit request context.
+    ///
     /// The pipeline sheds expired work first, then reserves the caller's
     /// fair share of the worker pool (an overloaded replica sheds with
     /// [`IpsError::Overloaded`], retryable elsewhere, without consuming
@@ -281,7 +229,7 @@ impl IpsInstance {
     #[allow(clippy::too_many_arguments)]
     pub fn query_udaf<U>(
         self: &Arc<Self>,
-        caller: CallerId,
+        ctx: &RequestContext,
         table: TableId,
         pid: ProfileId,
         slot: SlotId,
@@ -295,11 +243,10 @@ impl IpsInstance {
         U::Output: PartialOrd,
     {
         self.check_alive()?;
-        let ctx = RequestContext::new(caller);
         let _guards = self.pipeline().admit(
             self,
             &PipelineRequest {
-                ctx: &ctx,
+                ctx,
                 kind: RequestKind::Read,
                 units: 1,
             },

@@ -10,8 +10,8 @@
 //!
 //! * [`mod@self`] — the instance struct, construction, table lifecycle.
 //! * [`runtime`] — per-table runtime state, metrics, background threads.
-//! * [`handlers`] — the write/read API bodies (`add_profiles`, `query`,
-//!   `query_batch`, UDAFs).
+//! * [`handlers`] — the write/read API bodies (`add_profiles_ctx`,
+//!   `query_ctx`, `query_batch_ctx`, UDAFs).
 //! * [`snapshot`] — shard-handoff snapshot export/import.
 //! * [`pipeline`] — the composable request pipeline: every cross-cutting
 //!   serving policy (deadline, fair admission, quota, tracing, degraded

@@ -51,7 +51,7 @@ pub struct RequestContext {
     /// Scheduling priority; feeds the fair-admission weight downstream.
     pub priority: Priority,
     /// Remaining deadline, armed against this process's monotonic clock at
-    /// arrival. `None` means unbounded (the legacy behaviour).
+    /// arrival. `None` means unbounded.
     pub deadline: Option<ArmedDeadline>,
     /// Explicit caller opt-in to degraded serving, with the staleness the
     /// caller will tolerate. The server additionally caps this at its own
@@ -61,12 +61,14 @@ pub struct RequestContext {
 
 impl RequestContext {
     /// A context for `caller` with no deadline, default priority and no
-    /// degraded opt-in — the implicit context of the legacy call surface.
+    /// degraded opt-in; the builders below add each of those.
     #[must_use]
-    pub fn new(caller: CallerId) -> Self {
+    pub const fn new(caller: CallerId) -> Self {
         Self {
             caller,
-            ..Self::default()
+            priority: Priority::Normal,
+            deadline: None,
+            staleness: None,
         }
     }
 
@@ -102,7 +104,7 @@ impl RequestContext {
 /// apply (e.g. admission guards only the batch worker pool).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RequestKind {
-    /// `add_profile(s)`: the write API.
+    /// `add_profiles_ctx`: the write API.
     Write,
     /// A single profile query (including UDAFs).
     Read,

@@ -52,26 +52,8 @@ impl IpsInstance {
     /// returning the resume cursor unchanged — either way the source learns
     /// `next_seq` and resumes from the right offset. `last` tears down the
     /// progress slot once the stream is fully applied.
-    pub fn import_snapshot_chunk(
-        &self,
-        table: TableId,
-        handoff: u64,
-        seq: u64,
-        last: bool,
-        entries: Vec<ExportedEntry>,
-    ) -> Result<SnapshotImportAck> {
-        self.import_snapshot_chunk_ctx(
-            &RequestContext::default(),
-            table,
-            handoff,
-            seq,
-            last,
-            entries,
-        )
-    }
-
-    /// [`IpsInstance::import_snapshot_chunk`] with an explicit request
-    /// context: the pipeline sheds a chunk whose deadline already expired
+    ///
+    /// The pipeline sheds a chunk whose deadline in `ctx` already expired
     /// (internal traffic carries no quota, so only the deadline stage
     /// applies).
     pub fn import_snapshot_chunk_ctx(

@@ -13,6 +13,7 @@ use ips_types::{
 
 const TABLE: TableId = TableId(1);
 const CALLER: CallerId = CallerId(1);
+const CTX: RequestContext = RequestContext::new(CALLER);
 const SLOT: SlotId = SlotId(1);
 const LIKE: ActionTypeId = ActionTypeId(1);
 
@@ -28,15 +29,14 @@ fn setup() -> (Arc<IpsInstance>, ips_types::SimClock) {
 }
 
 fn add(i: &Arc<IpsInstance>, pid: u64, fid: u64, likes: i64, now: Timestamp) {
-    i.add_profile(
-        CALLER,
+    i.add_profiles_ctx(
+        &CTX,
         TABLE,
         ProfileId::new(pid),
         now,
         SLOT,
         LIKE,
-        FeatureId::new(fid),
-        CountVector::single(likes),
+        &[(FeatureId::new(fid), CountVector::single(likes))],
     )
     .unwrap();
 }
@@ -48,7 +48,7 @@ fn write_then_query_round_trip() {
     add(&i, 1, 10, 3, now);
     add(&i, 1, 20, 5, now);
     let q = ProfileQuery::top_k(TABLE, ProfileId::new(1), SLOT, TimeRange::last_days(1), 1);
-    let r = i.query(CALLER, &q).unwrap();
+    let r = i.query_ctx(&CTX, &q).unwrap();
     assert_eq!(r.entries[0].feature, FeatureId::new(20));
     assert!(r.cache_hit);
 }
@@ -64,12 +64,12 @@ fn unknown_table_and_profile() {
         1,
     );
     assert!(matches!(
-        i.query(CALLER, &q),
+        i.query_ctx(&CTX, &q),
         Err(IpsError::UnknownTable(_))
     ));
 
     let q = ProfileQuery::top_k(TABLE, ProfileId::new(404), SLOT, TimeRange::last_days(1), 1);
-    let r = i.query(CALLER, &q).unwrap();
+    let r = i.query_ctx(&CTX, &q).unwrap();
     assert!(r.is_empty());
     assert!(!r.cache_hit);
     drop(ctl);
@@ -87,8 +87,8 @@ fn batched_writes_one_quota_charge_per_feature() {
     let features: Vec<(FeatureId, CountVector)> = (0..5)
         .map(|n| (FeatureId::new(n), CountVector::single(1)))
         .collect();
-    i.add_profiles(
-        CALLER,
+    i.add_profiles_ctx(
+        &CTX,
         TABLE,
         ProfileId::new(1),
         ctl.now(),
@@ -104,7 +104,7 @@ fn batched_writes_one_quota_charge_per_feature() {
         TimeRange::last_days(1),
         FilterPredicate::All,
     );
-    assert_eq!(i.query(CALLER, &q).unwrap().len(), 5);
+    assert_eq!(i.query_ctx(&CTX, &q).unwrap().len(), 5);
 }
 
 #[test]
@@ -123,10 +123,10 @@ fn isolation_buffers_until_merge() {
     add(&i, 1, 10, 3, now);
     // Not yet visible: §III-F "delays the data visibility slightly".
     let q = ProfileQuery::top_k(TABLE, ProfileId::new(1), SLOT, TimeRange::last_days(1), 5);
-    assert!(i.query(CALLER, &q).unwrap().is_empty());
+    assert!(i.query_ctx(&CTX, &q).unwrap().is_empty());
     // After the merge it is.
     i.table(TABLE).unwrap().merge_write_table().unwrap();
-    assert_eq!(i.query(CALLER, &q).unwrap().len(), 1);
+    assert_eq!(i.query_ctx(&CTX, &q).unwrap().len(), 1);
 }
 
 #[test]
@@ -143,14 +143,14 @@ fn quota_rejections_surface() {
     let now = ctl.now();
     add(&i, 1, 1, 1, now);
     let q = ProfileQuery::top_k(TABLE, ProfileId::new(1), SLOT, TimeRange::last_days(1), 1);
-    i.query(limited, &q).unwrap();
-    i.query(limited, &q).unwrap();
+    i.query_ctx(&RequestContext::new(limited), &q).unwrap();
+    i.query_ctx(&RequestContext::new(limited), &q).unwrap();
     assert!(matches!(
-        i.query(limited, &q),
+        i.query_ctx(&RequestContext::new(limited), &q),
         Err(IpsError::QuotaExceeded(_))
     ));
     // Default caller unaffected.
-    i.query(CALLER, &q).unwrap();
+    i.query_ctx(&CTX, &q).unwrap();
 }
 
 #[test]
@@ -194,7 +194,7 @@ fn shutdown_flushes_and_refuses() {
     let flushed = i.shutdown().unwrap();
     assert!(flushed >= 1);
     let q = ProfileQuery::top_k(TABLE, ProfileId::new(1), SLOT, TimeRange::last_days(1), 1);
-    assert!(matches!(i.query(CALLER, &q), Err(IpsError::ShuttingDown)));
+    assert!(matches!(i.query_ctx(&CTX, &q), Err(IpsError::ShuttingDown)));
 }
 
 #[test]
@@ -204,7 +204,7 @@ fn drop_table_flushes_and_removes() {
     i.drop_table(TABLE).unwrap();
     let q = ProfileQuery::top_k(TABLE, ProfileId::new(1), SLOT, TimeRange::last_days(1), 1);
     assert!(matches!(
-        i.query(CALLER, &q),
+        i.query_ctx(&CTX, &q),
         Err(IpsError::UnknownTable(_))
     ));
     assert!(i.drop_table(TABLE).is_err(), "already dropped");
@@ -212,7 +212,7 @@ fn drop_table_flushes_and_removes() {
     let mut cfg = TableConfig::new("recreated");
     cfg.isolation.enabled = false;
     i.create_table(TABLE, cfg).unwrap();
-    let r = i.query(CALLER, &q).unwrap();
+    let r = i.query_ctx(&CTX, &q).unwrap();
     assert_eq!(r.len(), 1, "persisted profile survives a table drop");
 }
 
@@ -243,26 +243,24 @@ fn udaf_runs_through_the_instance() {
     let (i, ctl) = setup();
     let now = ctl.now();
     // fid 1: lucky one-off (1 click / 1 imp); fid 2: steady (40/100).
-    i.add_profile(
-        CALLER,
+    i.add_profiles_ctx(
+        &CTX,
         TABLE,
         ProfileId::new(1),
         now,
         SLOT,
         LIKE,
-        FeatureId::new(1),
-        CountVector::pair(1, 1),
+        &[(FeatureId::new(1), CountVector::pair(1, 1))],
     )
     .unwrap();
-    i.add_profile(
-        CALLER,
+    i.add_profiles_ctx(
+        &CTX,
         TABLE,
         ProfileId::new(1),
         now,
         SLOT,
         LIKE,
-        FeatureId::new(2),
-        CountVector::pair(40, 100),
+        &[(FeatureId::new(2), CountVector::pair(40, 100))],
     )
     .unwrap();
     let udaf = SmoothedCtr {
@@ -273,7 +271,7 @@ fn udaf_runs_through_the_instance() {
     };
     let top = i
         .query_udaf(
-            CALLER,
+            &CTX,
             TABLE,
             ProfileId::new(1),
             SLOT,
@@ -287,7 +285,7 @@ fn udaf_runs_through_the_instance() {
     // Unknown profile: empty, not an error.
     let none = i
         .query_udaf(
-            CALLER,
+            &CTX,
             TABLE,
             ProfileId::new(404),
             SLOT,
@@ -325,6 +323,44 @@ fn expired_deadline_is_shed_before_compute() {
     let out = i.query_batch_ctx(&ctx, &batch);
     assert!(matches!(out, Err(IpsError::DeadlineExceeded)));
 
+    // UDAFs and writes go through the same deadline stage.
+    let shed_before = i.shed_deadline.get();
+    let udaf = crate::query::udaf::SmoothedCtr {
+        click_attr: 0,
+        impression_attr: 1,
+        alpha: 1.0,
+        beta: 20.0,
+    };
+    let out = i.query_udaf(
+        &ctx,
+        TABLE,
+        ProfileId::new(1),
+        SLOT,
+        None,
+        TimeRange::last_days(1),
+        &udaf,
+        1,
+    );
+    assert!(matches!(out, Err(IpsError::DeadlineExceeded)));
+    assert_eq!(i.shed_deadline.get(), shed_before + 1);
+    assert_eq!(
+        i.table(TABLE).unwrap().metrics.queries.get(),
+        queries_before
+    );
+    let writes_before = i.table(TABLE).unwrap().metrics.writes.get();
+    let out = i.add_profiles_ctx(
+        &ctx,
+        TABLE,
+        ProfileId::new(1),
+        ctl.now(),
+        SLOT,
+        LIKE,
+        &[(FeatureId::new(11), CountVector::single(1))],
+    );
+    assert!(matches!(out, Err(IpsError::DeadlineExceeded)));
+    assert_eq!(i.shed_deadline.get(), shed_before + 2);
+    assert_eq!(i.table(TABLE).unwrap().metrics.writes.get(), writes_before);
+
     // A generous deadline changes nothing.
     let ctx = RequestContext::new(CALLER)
         .with_deadline(Deadline::from_budget(DurationMs::from_secs(60)).arm());
@@ -350,13 +386,16 @@ fn batch_admission_sheds_with_overloaded() {
 
     let q = ProfileQuery::top_k(TABLE, ProfileId::new(1), SLOT, TimeRange::last_days(1), 1);
     let small = vec![q.clone(); 4];
-    assert!(i.query_batch(CALLER, &small).is_ok(), "at capacity admits");
+    assert!(
+        i.query_batch_ctx(&CTX, &small).is_ok(),
+        "at capacity admits"
+    );
     let big = vec![q.clone(); 5];
-    let err = i.query_batch(CALLER, &big).unwrap_err();
+    let err = i.query_batch_ctx(&CTX, &big).unwrap_err();
     assert!(err.is_overload(), "got {err}");
     assert_eq!(i.admission.shed.get(), 1);
     // The permit was released: capacity-sized batches still serve.
-    assert!(i.query_batch(CALLER, &small).is_ok());
+    assert!(i.query_batch_ctx(&CTX, &small).is_ok());
     // Overload shed must be distinct from quota rejection.
     assert!(!matches!(err, IpsError::QuotaExceeded(_)));
 }
@@ -391,7 +430,7 @@ fn storage_brownout_serves_degraded_from_stale_pool() {
 
     // Without opt-in (and below the failure threshold) the error
     // surfaces as-is.
-    assert!(matches!(i.query(CALLER, &q), Err(IpsError::Storage(_))));
+    assert!(matches!(i.query_ctx(&CTX, &q), Err(IpsError::Storage(_))));
 
     // With the degraded opt-in the stale copy serves, stamped.
     let ctx = RequestContext::new(CALLER).with_staleness(DurationMs::from_mins(5));
@@ -409,7 +448,7 @@ fn storage_brownout_serves_degraded_from_stale_pool() {
 
     // Recovery: store healthy again, the profile reloads fresh.
     node.set_error_rate(0.0);
-    let r = i.query(CALLER, &q).unwrap();
+    let r = i.query_ctx(&CTX, &q).unwrap();
     assert!(!r.degraded);
     assert_eq!(r.len(), 1);
 }
@@ -442,11 +481,11 @@ fn repeated_storage_failures_auto_degrade_unflagged_reads() {
     node.set_error_rate(1.0);
     let q = ProfileQuery::top_k(TABLE, ProfileId::new(1), SLOT, TimeRange::last_days(1), 1);
     // Below the threshold plain queries fail hard…
-    assert!(i.query(CALLER, &q).is_err());
-    assert!(i.query(CALLER, &q).is_err());
+    assert!(i.query_ctx(&CTX, &q).is_err());
+    assert!(i.query_ctx(&CTX, &q).is_err());
     // …at the threshold the instance declares a brownout and serves
     // stale even without the request flag.
-    let r = i.query(CALLER, &q).unwrap();
+    let r = i.query_ctx(&CTX, &q).unwrap();
     assert!(r.degraded);
     assert_eq!(i.degraded_serves.get(), 1);
 }
@@ -461,7 +500,7 @@ fn background_threads_start_and_stop() {
     drop(bg);
     // Still queryable after background stops.
     let q = ProfileQuery::top_k(TABLE, ProfileId::new(1), SLOT, TimeRange::last_days(1), 1);
-    assert_eq!(i.query(CALLER, &q).unwrap().len(), 1);
+    assert_eq!(i.query_ctx(&CTX, &q).unwrap().len(), 1);
 }
 
 #[test]

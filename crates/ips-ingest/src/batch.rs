@@ -96,7 +96,7 @@ mod tests {
     use super::*;
     use crate::workload::{WorkloadConfig, WorkloadGenerator};
     use ips_core::query::{FilterPredicate, ProfileQuery};
-    use ips_core::server::{IpsInstance, IpsInstanceOptions};
+    use ips_core::server::{IpsInstance, IpsInstanceOptions, RequestContext};
     use ips_types::clock::sim_clock;
     use ips_types::{DurationMs, TableConfig, TimeRange, Timestamp};
     use std::sync::Arc;
@@ -146,7 +146,9 @@ mod tests {
             TimeRange::last_days(1),
             FilterPredicate::All,
         );
-        let r = inst.query(CallerId::new(1), &q).unwrap();
+        let r = inst
+            .query_ctx(&RequestContext::new(CallerId::new(1)), &q)
+            .unwrap();
         assert!(r.len() >= 3);
     }
 

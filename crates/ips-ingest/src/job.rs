@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use ips_cluster::IpsClusterClient;
-use ips_core::server::IpsInstance;
+use ips_core::server::{IpsInstance, RequestContext};
 use ips_metrics::{Counter, Histogram};
 use ips_types::{CallerId, Result, SharedClock, TableId};
 
@@ -22,15 +22,14 @@ pub trait IngestSink: Send + Sync {
 
 impl IngestSink for Arc<IpsInstance> {
     fn ingest(&self, caller: CallerId, table: TableId, record: &InstanceRecord) -> Result<()> {
-        self.add_profile(
-            caller,
+        self.add_profiles_ctx(
+            &RequestContext::new(caller),
             table,
             record.user,
             record.at,
             record.slot,
             record.action_type,
-            record.feature,
-            record.counts.clone(),
+            &[(record.feature, record.counts.clone())],
         )
     }
 }
@@ -181,7 +180,9 @@ mod tests {
         // Spot-check visibility.
         let (user, slot) = users[0];
         let q = ProfileQuery::top_k(TABLE, user, slot, TimeRange::last_days(1), 10);
-        let r = inst.query(CallerId::new(1), &q).unwrap();
+        let r = inst
+            .query_ctx(&RequestContext::new(CallerId::new(1)), &q)
+            .unwrap();
         assert!(!r.is_empty());
     }
 
@@ -264,6 +265,9 @@ mod tests {
         job.run_to_completion();
         let empty_slot = SlotId::new(slot.raw() + 1_000);
         let q = ProfileQuery::top_k(TABLE, user, empty_slot, TimeRange::last_days(1), 10);
-        assert!(inst.query(CallerId::new(1), &q).unwrap().is_empty());
+        assert!(inst
+            .query_ctx(&RequestContext::new(CallerId::new(1)), &q)
+            .unwrap()
+            .is_empty());
     }
 }

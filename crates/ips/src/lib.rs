@@ -43,7 +43,7 @@ pub use ips_types as types;
 pub mod prelude {
     pub use ips_cluster::{IpsClusterClient, MultiRegionDeployment, MultiRegionOptions};
     pub use ips_core::query::{FilterPredicate, ProfileQuery, QueryKind, QueryResult};
-    pub use ips_core::server::{IpsInstance, IpsInstanceOptions};
+    pub use ips_core::server::{IpsInstance, IpsInstanceOptions, RequestContext};
     pub use ips_types::clock::{sim_clock, system_clock, SimClock};
     pub use ips_types::config::DecayFunction;
     pub use ips_types::{

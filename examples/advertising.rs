@@ -45,7 +45,7 @@ fn main() -> Result<()> {
     cfg.isolation.enabled = false;
     instance.create_table(bids, cfg)?;
 
-    let caller = CallerId::new(7);
+    let ctx = RequestContext::new(CallerId::new(7));
     let slot = SlotId::new(1);
     let serve = ActionTypeId::new(1);
     let campaign = ProfileId::from_name("campaign:summer-sale");
@@ -70,7 +70,7 @@ fn main() -> Result<()> {
                 FilterPredicate::FeatureIn(vec![creative]),
             );
             let current = instance
-                .query(caller, &q)?
+                .query_ctx(&ctx, &q)?
                 .entries
                 .first()
                 .map(|e| e.counts.get_or_zero(ATTR_IMPRESSION))
@@ -81,15 +81,14 @@ fn main() -> Result<()> {
             let to_serve = remaining.min(tick_pressure);
             if to_serve > 0 {
                 let conversions = to_serve / 50;
-                instance.add_profile(
-                    caller,
+                instance.add_profiles_ctx(
+                    &ctx,
                     delivery,
                     campaign,
                     ctl.now(),
                     slot,
                     serve,
-                    creative,
-                    CountVector::from_slice(&[to_serve, conversions]),
+                    &[(creative, CountVector::from_slice(&[to_serve, conversions]))],
                 )?;
                 delivered_this_hour += to_serve;
             }
@@ -110,8 +109,8 @@ fn main() -> Result<()> {
     }
 
     // Full-flight stats from the same store, any window, no extra infra.
-    let flight = instance.query(
-        caller,
+    let flight = instance.query_ctx(
+        &ctx,
         &ProfileQuery::filter(
             delivery,
             campaign,
@@ -131,19 +130,18 @@ fn main() -> Result<()> {
     let advertiser = ProfileId::from_name("advertiser:acme");
     let keyword = FeatureId::from_name("keyword:sunscreen");
     for (minutes_ago, bid_cents) in [(30u64, 120i64), (20, 95), (10, 240), (1, 180)] {
-        instance.add_profile(
-            caller,
+        instance.add_profiles_ctx(
+            &ctx,
             bids,
             advertiser,
             ctl.now().saturating_sub(DurationMs::from_mins(minutes_ago)),
             slot,
             serve,
-            keyword,
-            CountVector::single(bid_cents),
+            &[(keyword, CountVector::single(bid_cents))],
         )?;
     }
-    let current_bid = instance.query(
-        caller,
+    let current_bid = instance.query_ctx(
+        &ctx,
         &ProfileQuery::filter(
             bids,
             advertiser,
@@ -174,7 +172,7 @@ fn main() -> Result<()> {
     for _ in 0..20 {
         let q = ProfileQuery::top_k(delivery, campaign, slot, TimeRange::last_days(1), 10);
         if matches!(
-            instance.query(reporting_job, &q),
+            instance.query_ctx(&RequestContext::new(reporting_job), &q),
             Err(IpsError::QuotaExceeded(_))
         ) {
             rejected += 1;
@@ -183,8 +181,8 @@ fn main() -> Result<()> {
     println!("reporting job: {rejected}/20 requests rejected by quota");
     assert!(rejected >= 10);
     // The serving caller is unaffected.
-    instance.query(
-        caller,
+    instance.query_ctx(
+        &ctx,
         &ProfileQuery::top_k(delivery, campaign, slot, TimeRange::last_days(1), 10),
     )?;
 

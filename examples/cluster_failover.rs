@@ -48,15 +48,14 @@ fn main() -> Result<()> {
     // Normal operation: writes fan out to both regions, queries stay local.
     println!("phase 1: normal operation");
     for user in 0..200u64 {
-        client.add_profile(
+        client.add_profiles(
             caller,
             table,
             ProfileId::new(user),
             ctl.now(),
             slot,
             like,
-            FeatureId::new(user % 20),
-            CountVector::single(1),
+            &[(FeatureId::new(user % 20), CountVector::single(1))],
         )?;
     }
     let mut hits = 0;

@@ -39,7 +39,7 @@ fn main() -> Result<()> {
         cfg.isolation.enabled = false;
         instance.create_table(id, cfg)?;
     }
-    let caller = CallerId::new(1);
+    let ctx = RequestContext::new(CallerId::new(1));
     let news = SlotId::new(1);
     let hobbies = SlotId::new(2);
     let view = ActionTypeId::new(1);
@@ -52,15 +52,14 @@ fn main() -> Result<()> {
 
     // Yesterday's story accumulated plenty of clicks... yesterday.
     let yesterday = ctl.now().saturating_sub(DurationMs::from_days(1));
-    instance.add_profile(
-        caller,
+    instance.add_profiles_ctx(
+        &ctx,
         items,
         old_profile,
         yesterday,
         news,
         view,
-        older_story,
-        CountVector::from_slice(&[5_000, 40_000]),
+        &[(older_story, CountVector::from_slice(&[5_000, 40_000]))],
     )?;
 
     // The breaking story has had 10 minutes of traffic.
@@ -69,15 +68,14 @@ fn main() -> Result<()> {
         let at = ctl.now().saturating_sub(DurationMs::from_mins(10 - minute));
         let clicks = 300 + 100 * minute as i64; // accelerating
         let _ = &mut generator;
-        instance.add_profile(
-            caller,
+        instance.add_profiles_ctx(
+            &ctx,
             items,
             story_profile,
             at,
             news,
             view,
-            breaking,
-            CountVector::from_slice(&[clicks, clicks * 6]),
+            &[(breaking, CountVector::from_slice(&[clicks, clicks * 6]))],
         )?;
     }
 
@@ -90,7 +88,7 @@ fn main() -> Result<()> {
             TimeRange::last(DurationMs::from_mins(15)),
             FilterPredicate::FeatureIn(vec![fid]),
         );
-        let r = instance.query(caller, &q)?;
+        let r = instance.query_ctx(&ctx, &q)?;
         Ok(r.entries.first().map(|e| {
             let clicks = e.counts.get_or_zero(ATTR_CLICK);
             let imps = e.counts.get_or_zero(ATTR_IMPRESSION).max(1);
@@ -113,35 +111,33 @@ fn main() -> Result<()> {
     // Three months of cooking views.
     for day in 1..=90u64 {
         let at = ctl.now().saturating_sub(DurationMs::from_days(day));
-        instance.add_profile(
-            caller,
+        instance.add_profiles_ctx(
+            &ctx,
             users,
             reader,
             at,
             hobbies,
             view,
-            cooking,
-            CountVector::from_slice(&[2, 10]),
+            &[(cooking, CountVector::from_slice(&[2, 10]))],
         )?;
     }
     // Two weeks of hiking views.
     for day in 1..=14u64 {
         let at = ctl.now().saturating_sub(DurationMs::from_days(day));
-        instance.add_profile(
-            caller,
+        instance.add_profiles_ctx(
+            &ctx,
             users,
             reader,
             at,
             hobbies,
             view,
-            hiking,
-            CountVector::from_slice(&[3, 10]),
+            &[(hiking, CountVector::from_slice(&[3, 10]))],
         )?;
     }
 
     // Long window: cooking dominates (the latent interest)...
-    let long = instance.query(
-        caller,
+    let long = instance.query_ctx(
+        &ctx,
         &ProfileQuery::top_k(users, reader, hobbies, TimeRange::last_days(120), 2),
     )?;
     println!(
@@ -154,8 +150,8 @@ fn main() -> Result<()> {
     assert_eq!(long.entries[0].feature, cooking);
 
     // ...short window: hiking leads (the current interest)...
-    let short = instance.query(
-        caller,
+    let short = instance.query_ctx(
+        &ctx,
         &ProfileQuery::top_k(users, reader, hobbies, TimeRange::last_days(7), 2),
     )?;
     assert_eq!(short.entries[0].feature, hiking);

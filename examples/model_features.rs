@@ -31,7 +31,7 @@ fn main() -> Result<()> {
     cfg.attributes = 3; // [clicks, impressions, shares]
     cfg.isolation.enabled = false;
     instance.create_table(table, cfg)?;
-    let caller = CallerId::new(1);
+    let ctx = RequestContext::new(CallerId::new(1));
 
     // ---- populate three users with distinct behaviour shapes ---------------
     let news = SlotId::new(1);
@@ -50,25 +50,29 @@ fn main() -> Result<()> {
                 1 => (1, 15, 0),
                 _ => (3, 10, 4),
             };
-            instance.add_profile(
-                caller,
+            instance.add_profiles_ctx(
+                &ctx,
                 table,
                 *user,
                 at,
                 news,
                 view,
-                FeatureId::new(day % 7),
-                CountVector::from_slice(&[clicks, imps, shares]),
+                &[(
+                    FeatureId::new(day % 7),
+                    CountVector::from_slice(&[clicks, imps, shares]),
+                )],
             )?;
-            instance.add_profile(
-                caller,
+            instance.add_profiles_ctx(
+                &ctx,
                 table,
                 *user,
                 at,
                 video,
                 view,
-                FeatureId::new(100 + day % 5),
-                CountVector::from_slice(&[clicks / 2, imps / 2, shares]),
+                &[(
+                    FeatureId::new(100 + day % 5),
+                    CountVector::from_slice(&[clicks / 2, imps / 2, shares]),
+                )],
             )?;
         }
     }
@@ -140,7 +144,7 @@ fn main() -> Result<()> {
     // ---- serving: assemble for a candidate batch ----------------------------
     println!();
     println!("serving-side feature vectors:");
-    let vectors = assemble_batch(&instance, caller, &template, &users);
+    let vectors = assemble_batch(&instance, &ctx, &template, &users);
     for (user, vec) in users.iter().zip(&vectors) {
         let vec = vec.as_ref().expect("assembly succeeds");
         println!(
@@ -171,7 +175,7 @@ fn main() -> Result<()> {
         let line = to_training_sample(&template, vec.as_ref().unwrap());
         println!("  {}", &line[..line.len().min(100)]);
         // Serving and training agree exactly.
-        let again = assemble(&instance, caller, &template, *user)?;
+        let again = assemble(&instance, &ctx, &template, *user)?;
         assert_eq!(again.values, vec.as_ref().unwrap().values);
     }
 

@@ -27,7 +27,7 @@ fn main() -> Result<()> {
     config.isolation.enabled = false; // immediate visibility for the demo
     instance.create_table(table, config)?;
 
-    let caller = CallerId::new(1);
+    let ctx = RequestContext::new(CallerId::new(1));
     let alice = ProfileId::from_name("Alice");
     let sports = SlotId::new(1); // slot  = "Sports"
     let basketball = ActionTypeId::new(1); // type  = "Basketball"
@@ -36,28 +36,26 @@ fn main() -> Result<()> {
 
     // Ten days ago: Alice liked, commented on and re-shared a Lakers video.
     let ten_days_ago = ctl.now().saturating_sub(DurationMs::from_days(10));
-    instance.add_profile(
-        caller,
+    instance.add_profiles_ctx(
+        &ctx,
         table,
         alice,
         ten_days_ago,
         sports,
         basketball,
-        lakers,
-        CountVector::from_slice(&[1, 1, 1]),
+        &[(lakers, CountVector::from_slice(&[1, 1, 1]))],
     )?;
 
     // Two days ago: she liked a couple of Warriors videos.
     let two_days_ago = ctl.now().saturating_sub(DurationMs::from_days(2));
-    instance.add_profile(
-        caller,
+    instance.add_profiles_ctx(
+        &ctx,
         table,
         alice,
         two_days_ago,
         sports,
         basketball,
-        warriors,
-        CountVector::from_slice(&[2, 0, 0]),
+        &[(warriors, CountVector::from_slice(&[2, 0, 0]))],
     )?;
 
     // Listing 1: SELECT feature, SUM(like) ... WHERE uid='Alice' AND
@@ -68,8 +66,8 @@ fn main() -> Result<()> {
         .with_sort(SortKey::Attribute(0), SortOrder::Descending);
     // Everything under this guard (cache probe, store load, compute) lands
     // in one span tree rooted at `quickstart_query`.
-    let root = tracer.root_span("quickstart_query", caller.raw());
-    let result = instance.query(caller, &query)?;
+    let root = tracer.root_span("quickstart_query", ctx.caller.raw());
+    let result = instance.query_ctx(&ctx, &query)?;
     drop(root);
 
     let favourite = result.entries.first().expect("Alice has basketball data");
@@ -86,7 +84,7 @@ fn main() -> Result<()> {
     // the flexibility the legacy lambda split could not provide.
     let query_1d = ProfileQuery::top_k(table, alice, sports, TimeRange::last_days(1), 10)
         .with_action(basketball);
-    let recent = instance.query(caller, &query_1d)?;
+    let recent = instance.query_ctx(&ctx, &query_1d)?;
     println!(
         "Features in the last 1 day: {} (Warriors like was 2 days ago)",
         recent.len()
@@ -94,8 +92,8 @@ fn main() -> Result<()> {
     assert!(recent.is_empty());
 
     // And a decayed view that favours recent interests.
-    let decayed = instance.query(
-        caller,
+    let decayed = instance.query_ctx(
+        &ctx,
         &ProfileQuery::decay(
             table,
             alice,

@@ -12,7 +12,7 @@ struct Fixture {
     instance: std::sync::Arc<IpsInstance>,
     ctl: SimClock,
     table: TableId,
-    caller: CallerId,
+    ctx: RequestContext,
     alice: ProfileId,
     sports: SlotId,
     basketball: ActionTypeId,
@@ -35,7 +35,7 @@ fn fixture() -> Fixture {
         instance,
         ctl,
         table,
-        caller: CallerId::new(1),
+        ctx: RequestContext::new(CallerId::new(1)),
         alice: ProfileId::from_name("Alice"),
         sports: SlotId::new(1),
         basketball: ActionTypeId::new(1),
@@ -46,29 +46,27 @@ fn fixture() -> Fixture {
     // Table I: Alice, ten days ago, Lakers, like=1 comment=1 share=1.
     let ten_days_ago = f.ctl.now().saturating_sub(DurationMs::from_days(10));
     f.instance
-        .add_profile(
-            f.caller,
+        .add_profiles_ctx(
+            &f.ctx,
             f.table,
             f.alice,
             ten_days_ago,
             f.sports,
             f.basketball,
-            f.lakers,
-            CountVector::from_slice(&[1, 1, 1]),
+            &[(f.lakers, CountVector::from_slice(&[1, 1, 1]))],
         )
         .unwrap();
     // Table I row 2: two days ago, Warriors, like=2.
     let two_days_ago = f.ctl.now().saturating_sub(DurationMs::from_days(2));
     f.instance
-        .add_profile(
-            f.caller,
+        .add_profiles_ctx(
+            &f.ctx,
             f.table,
             f.alice,
             two_days_ago,
             f.sports,
             f.basketball,
-            f.warriors,
-            CountVector::from_slice(&[2, 0, 0]),
+            &[(f.warriors, CountVector::from_slice(&[2, 0, 0]))],
         )
         .unwrap();
     f
@@ -83,7 +81,7 @@ fn listing1_top_liked_team_last_ten_days() {
     // 10-day window matching the paper's intent (Warriors wins either way).
     let q = ProfileQuery::top_k(f.table, f.alice, f.sports, TimeRange::last_days(11), 1)
         .with_action(f.basketball);
-    let r = f.instance.query(f.caller, &q).unwrap();
+    let r = f.instance.query_ctx(&f.ctx, &q).unwrap();
     assert_eq!(r.len(), 1);
     assert_eq!(r.entries[0].feature, f.warriors);
     assert_eq!(r.entries[0].counts.get_or_zero(LIKES), 2);
@@ -100,7 +98,7 @@ fn full_window_sees_both_teams_with_all_attributes() {
         FilterPredicate::All,
     )
     .with_action(f.basketball);
-    let r = f.instance.query(f.caller, &q).unwrap();
+    let r = f.instance.query_ctx(&f.ctx, &q).unwrap();
     assert_eq!(r.len(), 2);
     let lakers = r.entries.iter().find(|e| e.feature == f.lakers).unwrap();
     assert_eq!(lakers.counts.get_or_zero(LIKES), 1);
@@ -119,7 +117,7 @@ fn sort_by_shares_flips_the_winner() {
     let q = ProfileQuery::top_k(f.table, f.alice, f.sports, TimeRange::last_days(30), 1)
         .with_action(f.basketball)
         .with_sort(SortKey::Attribute(SHARES), SortOrder::Descending);
-    let r = f.instance.query(f.caller, &q).unwrap();
+    let r = f.instance.query_ctx(&f.ctx, &q).unwrap();
     assert_eq!(r.entries[0].feature, f.lakers);
 }
 
@@ -128,7 +126,7 @@ fn narrow_window_excludes_old_actions() {
     let f = fixture();
     let q = ProfileQuery::top_k(f.table, f.alice, f.sports, TimeRange::last_days(5), 10)
         .with_action(f.basketball);
-    let r = f.instance.query(f.caller, &q).unwrap();
+    let r = f.instance.query_ctx(&f.ctx, &q).unwrap();
     assert_eq!(r.len(), 1, "only the 2-day-old Warriors row");
     assert_eq!(r.entries[0].feature, f.warriors);
 }
@@ -146,7 +144,7 @@ fn relative_window_works_for_dormant_alice() {
         ..ProfileQuery::top_k(f.table, f.alice, f.sports, TimeRange::last_days(1), 10)
     }
     .with_action(f.basketball);
-    let r = f.instance.query(f.caller, &q).unwrap();
+    let r = f.instance.query_ctx(&f.ctx, &q).unwrap();
     assert_eq!(
         r.len(),
         2,
@@ -156,7 +154,7 @@ fn relative_window_works_for_dormant_alice() {
     // The CURRENT version of the same window finds nothing.
     let q = ProfileQuery::top_k(f.table, f.alice, f.sports, TimeRange::last_days(10), 10)
         .with_action(f.basketball);
-    assert!(f.instance.query(f.caller, &q).unwrap().is_empty());
+    assert!(f.instance.query_ctx(&f.ctx, &q).unwrap().is_empty());
 }
 
 #[test]
@@ -164,11 +162,11 @@ fn other_slots_and_users_are_isolated() {
     let f = fixture();
     let music = SlotId::new(9);
     let q = ProfileQuery::top_k(f.table, f.alice, music, TimeRange::last_days(30), 10);
-    assert!(f.instance.query(f.caller, &q).unwrap().is_empty());
+    assert!(f.instance.query_ctx(&f.ctx, &q).unwrap().is_empty());
 
     let bob = ProfileId::from_name("Bob");
     let q = ProfileQuery::top_k(f.table, bob, f.sports, TimeRange::last_days(30), 10);
-    assert!(f.instance.query(f.caller, &q).unwrap().is_empty());
+    assert!(f.instance.query_ctx(&f.ctx, &q).unwrap().is_empty());
 }
 
 #[test]
@@ -181,7 +179,7 @@ fn survives_flush_evict_reload_cycle() {
 
     let q = ProfileQuery::top_k(f.table, f.alice, f.sports, TimeRange::last_days(11), 1)
         .with_action(f.basketball);
-    let r = f.instance.query(f.caller, &q).unwrap();
+    let r = f.instance.query_ctx(&f.ctx, &q).unwrap();
     assert_eq!(
         r.entries[0].feature, f.warriors,
         "reloaded from the KV store"
@@ -189,6 +187,6 @@ fn survives_flush_evict_reload_cycle() {
     assert!(!r.cache_hit);
 
     // Second query is a hit.
-    let r = f.instance.query(f.caller, &q).unwrap();
+    let r = f.instance.query_ctx(&f.ctx, &q).unwrap();
     assert!(r.cache_hit);
 }

@@ -10,6 +10,7 @@ use ips::prelude::*;
 
 const TABLE: TableId = TableId(1);
 const CALLER: CallerId = CallerId(1);
+const CTX: RequestContext = RequestContext::new(CALLER);
 const SLOT: SlotId = SlotId(1);
 const LIKE: ActionTypeId = ActionTypeId(1);
 
@@ -31,15 +32,14 @@ fn instance_with_node(
 }
 
 fn write(i: &Arc<IpsInstance>, pid: u64, fid: u64, at: Timestamp) {
-    i.add_profile(
-        CALLER,
+    i.add_profiles_ctx(
+        &CTX,
         TABLE,
         ProfileId::new(pid),
         at,
         SLOT,
         LIKE,
-        FeatureId::new(fid),
-        CountVector::single(1),
+        &[(FeatureId::new(fid), CountVector::single(1))],
     )
     .unwrap();
 }
@@ -52,7 +52,7 @@ fn count_features(i: &Arc<IpsInstance>, pid: u64) -> usize {
         TimeRange::last_days(30),
         FilterPredicate::All,
     );
-    i.query(CALLER, &q).unwrap().len()
+    i.query_ctx(&CTX, &q).unwrap().len()
 }
 
 #[test]
@@ -218,7 +218,7 @@ fn hit_ratio_stays_high_under_zipf_access() {
     for _ in 0..20_000 {
         let user = generator.sample_user();
         let q = ProfileQuery::top_k(TABLE, user, SLOT, TimeRange::last_days(1), 5);
-        instance.query(CALLER, &q).unwrap();
+        instance.query_ctx(&CTX, &q).unwrap();
         instance.tick_if_needed();
     }
     let s = rt.cache.stats();

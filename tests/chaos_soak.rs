@@ -69,15 +69,14 @@ fn chaos_soak_survives_and_converges() {
                 // counts writes made while everything was healthy.
                 let all_up = endpoints.iter().all(|e| !e.is_down());
                 if client
-                    .add_profile(
+                    .add_profiles(
                         CALLER,
                         TABLE,
                         ProfileId::new(pid),
                         ctl.now(),
                         SLOT,
                         LIKE,
-                        FeatureId::new(fid),
-                        CountVector::single(n),
+                        &[(FeatureId::new(fid), CountVector::single(n))],
                     )
                     .is_ok()
                     && all_up
@@ -174,7 +173,7 @@ fn chaos_soak_survives_and_converges() {
         );
         let mut best = 0i64;
         for ep in &endpoints {
-            if let Ok(r) = ep.instance().query(CALLER, &q) {
+            if let Ok(r) = ep.instance().query_ctx(&RequestContext::new(CALLER), &q) {
                 if let Some(e) = r.entries.first() {
                     best = best.max(e.counts.get_or_zero(0));
                 }
@@ -204,15 +203,14 @@ fn chaos_soak_survives_and_converges() {
     // 3. With the chaos over, fresh writes are exact everywhere they route.
     for fid in 1_000..1_020u64 {
         client
-            .add_profile(
+            .add_profiles(
                 CALLER,
                 TABLE,
                 ProfileId::new(999),
                 ctl.now(),
                 SLOT,
                 LIKE,
-                FeatureId::new(fid),
-                CountVector::single(7),
+                &[(FeatureId::new(fid), CountVector::single(7))],
             )
             .unwrap();
     }
@@ -312,15 +310,14 @@ fn scale_events_under_load_preserve_every_accepted_write() {
                 let fid = rng.gen_range(0..20u64);
                 let n = rng.gen_range(1..5i64);
                 if client
-                    .add_profile(
+                    .add_profiles(
                         CALLER,
                         TABLE,
                         ProfileId::new(pid),
                         ctl.now(),
                         SLOT,
                         LIKE,
-                        FeatureId::new(fid),
-                        CountVector::single(n),
+                        &[(FeatureId::new(fid), CountVector::single(n))],
                     )
                     .is_ok()
                 {
@@ -441,15 +438,14 @@ fn flapping_endpoint_breaker_opens_and_readmits() {
 
     let pid = ProfileId::new(7);
     client
-        .add_profile(
+        .add_profiles(
             CALLER,
             TABLE,
             pid,
             ctl.now(),
             SLOT,
             LIKE,
-            FeatureId::new(1),
-            CountVector::single(1),
+            &[(FeatureId::new(1), CountVector::single(1))],
         )
         .unwrap();
     // Flush so failover siblings can serve the profile from the store.

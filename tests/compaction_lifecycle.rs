@@ -10,6 +10,7 @@ use ips::types::config::{ShrinkConfig, TruncateConfig};
 
 const TABLE: TableId = TableId(1);
 const CALLER: CallerId = CallerId(1);
+const CTX: RequestContext = RequestContext::new(CALLER);
 const SLOT: SlotId = SlotId(1);
 const LIKE: ActionTypeId = ActionTypeId(1);
 
@@ -70,15 +71,17 @@ fn three_simulated_months_stay_bounded() {
         for hour in 0..24u64 {
             for i in 0..8u64 {
                 instance
-                    .add_profile(
-                        CALLER,
+                    .add_profiles_ctx(
+                        &CTX,
                         TABLE,
                         ProfileId::new(pid),
                         ctl.now(),
                         SLOT,
                         LIKE,
-                        FeatureId::new((day * 24 + hour + i * 31) % 500),
-                        CountVector::single(1),
+                        &[(
+                            FeatureId::new((day * 24 + hour + i * 31) % 500),
+                            CountVector::single(1),
+                        )],
                     )
                     .unwrap();
                 ctl.advance(DurationMs::from_mins(7));
@@ -118,7 +121,7 @@ fn three_simulated_months_stay_bounded() {
         TimeRange::last_days(1),
         10,
     );
-    let r = instance.query(CALLER, &q).unwrap();
+    let r = instance.query_ctx(&CTX, &q).unwrap();
     assert!(!r.is_empty());
 }
 
@@ -129,15 +132,14 @@ fn compaction_preserves_aggregate_totals() {
     // 100 likes of feature 9 spread over 2 hours.
     for _i in 0..100u64 {
         instance
-            .add_profile(
-                CALLER,
+            .add_profiles_ctx(
+                &CTX,
                 TABLE,
                 ProfileId::new(pid),
                 ctl.now(),
                 SLOT,
                 LIKE,
-                FeatureId::new(9),
-                CountVector::single(1),
+                &[(FeatureId::new(9), CountVector::single(1))],
             )
             .unwrap();
         ctl.advance(DurationMs::from_secs(72));
@@ -146,15 +148,14 @@ fn compaction_preserves_aggregate_totals() {
     ctl.advance(DurationMs::from_days(2));
     // Trigger scheduling, then run the pipeline.
     instance
-        .add_profile(
-            CALLER,
+        .add_profiles_ctx(
+            &CTX,
             TABLE,
             ProfileId::new(pid),
             ctl.now(),
             SLOT,
             LIKE,
-            FeatureId::new(10),
-            CountVector::single(1),
+            &[(FeatureId::new(10), CountVector::single(1))],
         )
         .unwrap();
     instance.tick().unwrap();
@@ -169,7 +170,7 @@ fn compaction_preserves_aggregate_totals() {
         TimeRange::last_days(7),
         FilterPredicate::FeatureIn(vec![FeatureId::new(9)]),
     );
-    let r = instance.query(CALLER, &q).unwrap();
+    let r = instance.query_ctx(&CTX, &q).unwrap();
     assert_eq!(
         r.entries[0].counts.get_or_zero(0),
         100,
@@ -182,15 +183,14 @@ fn truncation_forgets_data_past_horizon() {
     let (instance, ctl) = build();
     let pid = 3u64;
     instance
-        .add_profile(
-            CALLER,
+        .add_profiles_ctx(
+            &CTX,
             TABLE,
             ProfileId::new(pid),
             ctl.now(),
             SLOT,
             LIKE,
-            FeatureId::new(1),
-            CountVector::single(1),
+            &[(FeatureId::new(1), CountVector::single(1))],
         )
         .unwrap();
     // 45 days later (past the 30-day truncate horizon), write again and
@@ -198,15 +198,14 @@ fn truncation_forgets_data_past_horizon() {
     ctl.advance(DurationMs::from_days(45));
     for _ in 0..3 {
         instance
-            .add_profile(
-                CALLER,
+            .add_profiles_ctx(
+                &CTX,
                 TABLE,
                 ProfileId::new(pid),
                 ctl.now(),
                 SLOT,
                 LIKE,
-                FeatureId::new(2),
-                CountVector::single(1),
+                &[(FeatureId::new(2), CountVector::single(1))],
             )
             .unwrap();
         ctl.advance(DurationMs::from_mins(10));
@@ -219,7 +218,7 @@ fn truncation_forgets_data_past_horizon() {
         TimeRange::last_days(365),
         FilterPredicate::All,
     );
-    let r = instance.query(CALLER, &q).unwrap();
+    let r = instance.query_ctx(&CTX, &q).unwrap();
     assert!(
         !r.feature_ids().contains(&FeatureId::new(1)),
         "45-day-old data truncated"
@@ -235,30 +234,28 @@ fn shrink_keeps_head_features_drops_long_tail() {
     for fid in 0..500u64 {
         let count = if fid < 5 { 100 } else { 1 };
         instance
-            .add_profile(
-                CALLER,
+            .add_profiles_ctx(
+                &CTX,
                 TABLE,
                 ProfileId::new(pid),
                 ctl.now(),
                 SLOT,
                 LIKE,
-                FeatureId::new(fid),
-                CountVector::single(count),
+                &[(FeatureId::new(fid), CountVector::single(count))],
             )
             .unwrap();
     }
     // Age the data beyond the fresh horizon, then trigger maintenance.
     ctl.advance(DurationMs::from_days(2));
     instance
-        .add_profile(
-            CALLER,
+        .add_profiles_ctx(
+            &CTX,
             TABLE,
             ProfileId::new(pid),
             ctl.now(),
             SLOT,
             LIKE,
-            FeatureId::new(999),
-            CountVector::single(1),
+            &[(FeatureId::new(999), CountVector::single(1))],
         )
         .unwrap();
     instance.tick().unwrap();
@@ -271,7 +268,7 @@ fn shrink_keeps_head_features_drops_long_tail() {
         TimeRange::last_days(30),
         FilterPredicate::All,
     );
-    let r = instance.query(CALLER, &q).unwrap();
+    let r = instance.query_ctx(&CTX, &q).unwrap();
     assert!(
         r.len() <= 64 + 1,
         "long tail shrunk to the 64-feature budget (+fresh), got {}",
@@ -291,15 +288,14 @@ fn hot_reconfiguration_of_compaction_applies_next_cycle() {
     let pid = 5u64;
     for i in 0..50u64 {
         instance
-            .add_profile(
-                CALLER,
+            .add_profiles_ctx(
+                &CTX,
                 TABLE,
                 ProfileId::new(pid),
                 ctl.now(),
                 SLOT,
                 LIKE,
-                FeatureId::new(i),
-                CountVector::single(1),
+                &[(FeatureId::new(i), CountVector::single(1))],
             )
             .unwrap();
         ctl.advance(DurationMs::from_secs(60));
@@ -315,15 +311,14 @@ fn hot_reconfiguration_of_compaction_applies_next_cycle() {
         .unwrap();
     ctl.advance(DurationMs::from_mins(10));
     instance
-        .add_profile(
-            CALLER,
+        .add_profiles_ctx(
+            &CTX,
             TABLE,
             ProfileId::new(pid),
             ctl.now(),
             SLOT,
             LIKE,
-            FeatureId::new(999),
-            CountVector::single(1),
+            &[(FeatureId::new(999), CountVector::single(1))],
         )
         .unwrap();
     instance.tick().unwrap();

@@ -59,15 +59,14 @@ fn build() -> (MultiRegionDeployment, IpsClusterClient, SimClock) {
 /// copy is in the stale pool (and the store, which is about to brown out).
 fn seed_profile(deployment: &MultiRegionDeployment, client: &IpsClusterClient, ctl: &SimClock) {
     client
-        .add_profile(
+        .add_profiles(
             CALLER,
             TABLE,
             ProfileId::new(7),
             ctl.now(),
             SLOT,
             LIKE,
-            FeatureId::new(1),
-            CountVector::single(1),
+            &[(FeatureId::new(1), CountVector::single(1))],
         )
         .unwrap();
     for ep in deployment.all_endpoints() {

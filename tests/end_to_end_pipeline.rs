@@ -14,6 +14,7 @@ use ips::prelude::*;
 
 const TABLE: TableId = TableId(1);
 const CALLER: CallerId = CallerId(1);
+const CTX: RequestContext = RequestContext::new(CALLER);
 
 fn build_instance(clock: ips::types::SharedClock) -> Arc<IpsInstance> {
     let instance = IpsInstance::new_in_memory(IpsInstanceOptions::default(), clock);
@@ -72,7 +73,7 @@ fn events_flow_to_queryable_features_within_a_minute() {
 
     // The sample user's feature is queryable.
     let q = ProfileQuery::top_k(TABLE, sample.user, sample.slot, TimeRange::last_days(1), 50);
-    let r = instance.query(CALLER, &q).unwrap();
+    let r = instance.query_ctx(&CTX, &q).unwrap();
     assert!(
         r.entries.iter().any(|e| e.feature == sample.feature),
         "ingested feature must be servable"
@@ -147,7 +148,7 @@ fn duplicate_ingestion_is_visible_as_double_counts() {
         TimeRange::last_days(1),
         FilterPredicate::FeatureIn(vec![feature]),
     );
-    let r = instance.query(CALLER, &q).unwrap();
+    let r = instance.query_ctx(&CTX, &q).unwrap();
     let total: i64 = r.entries[0].counts.as_slice().iter().sum();
     assert_eq!(total, 2, "replayed record double-counts (weak consistency)");
 }

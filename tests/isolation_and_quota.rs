@@ -10,6 +10,7 @@ use ips::prelude::*;
 
 const TABLE: TableId = TableId(1);
 const CALLER: CallerId = CallerId(1);
+const CTX: RequestContext = RequestContext::new(CALLER);
 const SLOT: SlotId = SlotId(1);
 const LIKE: ActionTypeId = ActionTypeId(1);
 
@@ -26,15 +27,14 @@ fn build(isolation: bool) -> (Arc<IpsInstance>, SimClock) {
 }
 
 fn write(i: &Arc<IpsInstance>, pid: u64, fid: u64, at: Timestamp) {
-    i.add_profile(
-        CALLER,
+    i.add_profiles_ctx(
+        &CTX,
         TABLE,
         ProfileId::new(pid),
         at,
         SLOT,
         LIKE,
-        FeatureId::new(fid),
-        CountVector::single(1),
+        &[(FeatureId::new(fid), CountVector::single(1))],
     )
     .unwrap();
 }
@@ -45,13 +45,13 @@ fn isolation_delays_then_delivers_visibility() {
     write(&instance, 1, 7, ctl.now());
     let q = ProfileQuery::top_k(TABLE, ProfileId::new(1), SLOT, TimeRange::last_days(1), 5);
     assert!(
-        instance.query(CALLER, &q).unwrap().is_empty(),
+        instance.query_ctx(&CTX, &q).unwrap().is_empty(),
         "write staged, not yet merged"
     );
     let rt = instance.table(TABLE).unwrap();
     assert_eq!(rt.write_table.pending_writes(), 1);
     assert_eq!(rt.merge_write_table().unwrap(), 1);
-    let r = instance.query(CALLER, &q).unwrap();
+    let r = instance.query_ctx(&CTX, &q).unwrap();
     assert_eq!(r.len(), 1);
     assert_eq!(rt.write_table.pending_writes(), 0);
 }
@@ -77,11 +77,11 @@ fn hot_switch_drains_and_goes_direct() {
         TimeRange::last_days(1),
         FilterPredicate::All,
     );
-    let visible = instance.query(CALLER, &q).unwrap();
+    let visible = instance.query_ctx(&CTX, &q).unwrap();
     assert!(visible.feature_ids().contains(&FeatureId::new(8)));
     // ...and the staged write still lands on the next merge.
     instance.table(TABLE).unwrap().merge_write_table().unwrap();
-    let all = instance.query(CALLER, &q).unwrap();
+    let all = instance.query_ctx(&CTX, &q).unwrap();
     assert_eq!(all.len(), 2);
 }
 
@@ -105,15 +105,14 @@ fn write_table_cap_forces_eager_merge() {
 
     for fid in 0..200u64 {
         instance
-            .add_profile(
-                CALLER,
+            .add_profiles_ctx(
+                &CTX,
                 capped,
                 ProfileId::new(1),
                 ctl.now(),
                 SLOT,
                 LIKE,
-                FeatureId::new(fid),
-                CountVector::single(1),
+                &[(FeatureId::new(fid), CountVector::single(1))],
             )
             .unwrap();
     }
@@ -131,7 +130,7 @@ fn write_table_cap_forces_eager_merge() {
         TimeRange::last_days(1),
         FilterPredicate::All,
     );
-    assert_eq!(instance.query(CALLER, &q).unwrap().len(), 200);
+    assert_eq!(instance.query_ctx(&CTX, &q).unwrap().len(), 200);
 }
 
 #[test]
@@ -153,7 +152,7 @@ fn backfill_does_not_block_queries_under_isolation() {
 
     // Query path still answers from the main table without interference.
     let q = ProfileQuery::top_k(TABLE, ProfileId::new(1), SLOT, TimeRange::last_days(1), 5);
-    let r = instance.query(CALLER, &q).unwrap();
+    let r = instance.query_ctx(&CTX, &q).unwrap();
     assert_eq!(r.len(), 1);
 
     // After the merge the backfilled data is live too.
@@ -166,7 +165,7 @@ fn backfill_does_not_block_queries_under_isolation() {
         TimeRange::last_days(1),
         FilterPredicate::All,
     );
-    assert!(!instance.query(CALLER, &q).unwrap().is_empty());
+    assert!(!instance.query_ctx(&CTX, &q).unwrap().is_empty());
 }
 
 #[test]
@@ -194,19 +193,21 @@ fn quotas_isolate_tenants_under_shared_cluster() {
     let q = ProfileQuery::top_k(TABLE, ProfileId::new(1), SLOT, TimeRange::last_days(1), 5);
     let mut trial_rejections = 0;
     for _ in 0..100 {
-        if instance.query(trial, &q).is_err() {
+        if instance.query_ctx(&RequestContext::new(trial), &q).is_err() {
             trial_rejections += 1;
         }
     }
     assert_eq!(trial_rejections, 90, "trial capped at 10 of 100");
     // Premium sails through the same burst.
     for _ in 0..100 {
-        instance.query(premium, &q).unwrap();
+        instance
+            .query_ctx(&RequestContext::new(premium), &q)
+            .unwrap();
     }
 
     // A second later the trial tenant recovers (usage fell below limit).
     ctl.advance(DurationMs::from_secs(1));
-    instance.query(trial, &q).unwrap();
+    instance.query_ctx(&RequestContext::new(trial), &q).unwrap();
 }
 
 #[test]
@@ -225,8 +226,8 @@ fn quota_applies_to_writes_by_feature_count() {
         .map(|n| (FeatureId::new(n), CountVector::single(1)))
         .collect();
     instance
-        .add_profiles(
-            caller,
+        .add_profiles_ctx(
+            &RequestContext::new(caller),
             TABLE,
             ProfileId::new(1),
             ctl.now(),
@@ -237,8 +238,8 @@ fn quota_applies_to_writes_by_feature_count() {
         .unwrap();
     // Another 8 exceeds the budget.
     assert!(matches!(
-        instance.add_profiles(
-            caller,
+        instance.add_profiles_ctx(
+            &RequestContext::new(caller),
             TABLE,
             ProfileId::new(1),
             ctl.now(),

@@ -93,15 +93,14 @@ fn full_stack_concurrency_has_no_lock_order_cycles() {
             for i in 0..300u64 {
                 let pid = t * 1_000 + i % 64;
                 client
-                    .add_profile(
+                    .add_profiles(
                         CALLER,
                         TABLE,
                         ProfileId::new(pid),
                         now,
                         SLOT,
                         LIKE,
-                        FeatureId::new(i % 16),
-                        CountVector::single(1),
+                        &[(FeatureId::new(i % 16), CountVector::single(1))],
                     )
                     .unwrap();
             }

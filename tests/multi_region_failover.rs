@@ -52,15 +52,14 @@ fn build(regions: usize) -> World {
 
 fn write(w: &World, pid: u64, fid: u64) {
     w.client
-        .add_profile(
+        .add_profiles(
             CALLER,
             TABLE,
             ProfileId::new(pid),
             w.ctl.now(),
             SLOT,
             LIKE,
-            FeatureId::new(fid),
-            CountVector::single(1),
+            &[(FeatureId::new(fid), CountVector::single(1))],
         )
         .unwrap();
 }

@@ -87,15 +87,14 @@ fn build() -> (World, Arc<Tracer>) {
 fn seed_profiles(w: &World) {
     for pid in 0..BATCH {
         w.client
-            .add_profile(
+            .add_profiles(
                 CALLER,
                 TABLE,
                 ProfileId::new(pid),
                 w.ctl.now(),
                 SLOT,
                 LIKE,
-                FeatureId::new(1_000 + pid),
-                CountVector::single(1),
+                &[(FeatureId::new(1_000 + pid), CountVector::single(1))],
             )
             .unwrap();
     }
@@ -230,12 +229,12 @@ fn absent_context_is_byte_identical_on_the_wire() {
         caller: CALLER,
         queries: queries(),
     };
-    // A client with nothing stamped must emit the same bytes as an
-    // options-unaware encoder: absent context costs zero wire footprint
-    // and keeps old readers compatible.
+    // A client with nothing stamped emits no envelope fields: absent
+    // context costs zero wire footprint.
+    let plain = request.encode_with(None, &CallOptions::default());
     assert_eq!(
-        request.encode_with(None, &CallOptions::default()),
-        request.encode_traced(None),
+        RpcRequest::decode_envelope(&plain).unwrap().1,
+        RequestEnvelope::default(),
         "default CallOptions must not change the frame"
     );
 
@@ -246,6 +245,7 @@ fn absent_context_is_byte_identical_on_the_wire() {
         priority: Priority::Interactive,
     };
     let bytes = request.encode_with(None, &opts);
+    assert!(bytes.starts_with(&plain), "options ride after the body");
     let (decoded, envelope): (RpcRequest, RequestEnvelope) =
         RpcRequest::decode_envelope(&bytes).unwrap();
     assert!(matches!(

@@ -68,15 +68,14 @@ fn orchestrator(
 fn write_profiles(client: &IpsClusterClient, ctl: &SimClock, n: u64) {
     for pid in 0..n {
         client
-            .add_profile(
+            .add_profiles(
                 CALLER,
                 TABLE,
                 ProfileId::new(pid),
                 ctl.now(),
                 SLOT,
                 LIKE,
-                FeatureId::new(100 + pid),
-                CountVector::single(1),
+                &[(FeatureId::new(100 + pid), CountVector::single(1))],
             )
             .unwrap();
     }
@@ -259,15 +258,14 @@ fn stale_snapshot_loses_to_concurrent_write() {
     // through the client (it lands on the source, the current owner) and
     // flush, so the store's head generation moves past the snapshot's.
     client
-        .add_profile(
+        .add_profiles(
             CALLER,
             TABLE,
             victim,
             ctl.now(),
             SLOT,
             LIKE,
-            FeatureId::new(100 + victim.raw()),
-            CountVector::single(5),
+            &[(FeatureId::new(100 + victim.raw()), CountVector::single(5))],
         )
         .unwrap();
     source.instance().flush_all().unwrap();
@@ -308,7 +306,10 @@ fn stale_snapshot_loses_to_concurrent_write() {
         TimeRange::last_days(1),
         FilterPredicate::FeatureIn(vec![FeatureId::new(100 + victim.raw())]),
     );
-    let result = target.instance().query(CALLER, &q).unwrap();
+    let result = target
+        .instance()
+        .query_ctx(&RequestContext::new(CALLER), &q)
+        .unwrap();
     assert_eq!(
         result.entries[0].counts.get_or_zero(0),
         6,

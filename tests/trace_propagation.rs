@@ -71,15 +71,14 @@ fn build(sampling: SamplerConfig) -> (World, Arc<Tracer>) {
 fn seed_profiles(w: &World) {
     for pid in 0..BATCH {
         w.client
-            .add_profile(
+            .add_profiles(
                 CALLER,
                 TABLE,
                 ProfileId::new(pid),
                 w.ctl.now(),
                 SLOT,
                 LIKE,
-                FeatureId::new(1_000 + pid),
-                CountVector::single(1),
+                &[(FeatureId::new(1_000 + pid), CountVector::single(1))],
             )
             .unwrap();
     }
