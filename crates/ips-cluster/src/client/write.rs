@@ -62,26 +62,7 @@ impl IpsClusterClient {
                     )
                 })
         });
-        let mut any_ok = false;
-        let mut worst = LatencyBreakdown::default();
-        let mut last_err = IpsError::Unavailable("no healthy instance".into());
-        for outcome in outcomes {
-            match outcome {
-                Ok(breakdown) => {
-                    any_ok = true;
-                    if breakdown.total_us() > worst.total_us() {
-                        worst = breakdown;
-                    }
-                }
-                Err(e) => last_err = e,
-            }
-        }
-        if any_ok {
-            Ok(worst)
-        } else {
-            root.set_error(last_err.to_string());
-            Err(last_err)
-        }
+        slowest_region(outcomes, &mut root)
     }
 
     /// Write many profiles in one shot: writes are grouped by owning
@@ -106,26 +87,7 @@ impl IpsClusterClient {
         let region_outcomes = exec::fan_out(regions.len(), |r| {
             self.add_batch_in_region(caller, writes, &regions[r])
         });
-        let mut worst = LatencyBreakdown::default();
-        let mut any_ok = false;
-        let mut last_err = IpsError::Unavailable("no healthy instance".into());
-        for outcome in region_outcomes {
-            match outcome {
-                Ok(b) => {
-                    any_ok = true;
-                    if b.total_us() > worst.total_us() {
-                        worst = b;
-                    }
-                }
-                Err(e) => last_err = e,
-            }
-        }
-        if any_ok {
-            Ok(worst)
-        } else {
-            root.set_error(last_err.to_string());
-            Err(last_err)
-        }
+        slowest_region(region_outcomes, &mut root)
     }
 
     fn add_batch_in_region(
@@ -219,4 +181,30 @@ impl IpsClusterClient {
             0,
         ))
     }
+}
+
+/// Fold the per-region outcomes of an all-region write: it succeeds if any
+/// region accepted, reporting the slowest region's breakdown; otherwise it
+/// fails with the last region's error, recorded on `root`.
+fn slowest_region(
+    outcomes: Vec<Result<LatencyBreakdown>>,
+    root: &mut ips_trace::Span,
+) -> Result<LatencyBreakdown> {
+    let mut worst: Option<LatencyBreakdown> = None;
+    let mut last_err = IpsError::Unavailable("no healthy instance".into());
+    for outcome in outcomes {
+        match outcome {
+            Ok(b) => {
+                let w = worst.get_or_insert(b);
+                if b.total_us() > w.total_us() {
+                    *w = b;
+                }
+            }
+            Err(e) => last_err = e,
+        }
+    }
+    worst.ok_or_else(|| {
+        root.set_error(last_err.to_string());
+        last_err
+    })
 }

@@ -1,18 +1,25 @@
 //! The GCache implementation.
 //!
-//! Entries are `Arc<Mutex<CacheEntry>>` so the swap threads can `try_lock`
-//! an eviction candidate and *skip* it on contention instead of blocking
-//! (Fig 8). Memory is accounted per LRU shard; when total usage crosses the
-//! high watermark, swap work starts from the **largest** shard and evicts
-//! cold entries until usage falls below the low watermark — dirty entries
-//! are flushed before being dropped (write-back).
+//! Each LRU shard keeps its resident entries and its in-flight loads behind
+//! one mutex. Entries are `Arc<Mutex<CacheEntry>>` so the swap threads can
+//! `try_lock` an eviction candidate and *skip* it on contention instead of
+//! blocking (Fig 8). Memory is accounted per LRU shard; when total usage
+//! crosses the high watermark, swap work starts from the **largest** shard
+//! and evicts cold entries until usage falls below the low watermark — dirty
+//! entries are flushed before being dropped (write-back).
+//!
+//! Lock order is entry → shard: eviction removes an entry from its shard
+//! while it holds the entry's lock, and no path locks an entry while it
+//! holds a shard lock. Eviction flags the entry `evicted` under that lock,
+//! so a writer that looked the entry up before the eviction looks the
+//! profile up again instead of writing into a copy nobody will flush.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use ips_kv::Generation;
 use ips_metrics::counter::HitRatio;
@@ -41,7 +48,13 @@ pub struct CacheEntry {
     pub missing: Vec<SliceRefInfo>,
     /// Bytes this entry was last accounted at.
     accounted_bytes: usize,
+    /// Removed from its shard by eviction, after its write-back. An evicted
+    /// entry is never resident again, so writers that find this set must
+    /// look the profile up again.
+    evicted: bool,
 }
+
+type SharedEntry = Arc<Mutex<CacheEntry>>;
 
 /// Storage work one cache access performed — or, for a coalesced waiter, the
 /// work of the in-flight load it shared. Drives the storage-cost fields of a
@@ -64,15 +77,12 @@ impl ReadCost {
 
 /// One successful cache access: the entry, whether it was a hit, and the
 /// storage cost the access paid.
-type EntryAccess = (Arc<Mutex<CacheEntry>>, bool, ReadCost);
+type EntryAccess = (SharedEntry, bool, ReadCost);
 
 /// The published outcome of an in-flight load, shared with every waiter.
 #[derive(Clone)]
 enum LoadResult {
-    Ready {
-        entry: Arc<Mutex<CacheEntry>>,
-        cost: ReadCost,
-    },
+    Ready { entry: SharedEntry, cost: ReadCost },
     Missing,
     Failed(IpsError),
 }
@@ -88,12 +98,20 @@ struct InflightLoad {
 }
 
 struct LruShard {
-    map: Mutex<HashMap<ProfileId, Arc<Mutex<CacheEntry>>>>,
-    lru: Mutex<LruList>,
-    /// In-flight loads keyed by profile id (single-flight coalescing). Lock
-    /// order: `inflight` before `map` when both are held.
-    inflight: Mutex<HashMap<ProfileId, Arc<InflightLoad>>>,
+    state: Mutex<ShardState>,
+    /// Accounted bytes of the resident entries, read without the lock to
+    /// pick the largest shard.
     bytes: AtomicU64,
+}
+
+/// Everything one shard keys by profile id, behind the shard's one lock.
+#[derive(Default)]
+struct ShardState {
+    /// The resident entries, in recency order.
+    resident: LruList<SharedEntry>,
+    /// Loads in flight for profiles that are not resident (single-flight
+    /// coalescing).
+    inflight: HashMap<ProfileId, Arc<InflightLoad>>,
 }
 
 struct DirtyShard {
@@ -214,9 +232,7 @@ impl<S: ProfileStore + 'static> GCache<S> {
         config.validate().map_err(IpsError::InvalidConfig)?;
         let shards = (0..config.lru_shards)
             .map(|_| LruShard {
-                map: Mutex::new(HashMap::new()),
-                lru: Mutex::new(LruList::new()),
-                inflight: Mutex::new(HashMap::new()),
+                state: Mutex::new(ShardState::default()),
                 bytes: AtomicU64::new(0),
             })
             .collect();
@@ -245,13 +261,19 @@ impl<S: ProfileStore + 'static> GCache<S> {
         })
     }
 
-    fn shard_idx(&self, pid: ProfileId) -> usize {
+    fn shard(&self, pid: ProfileId) -> &LruShard {
         // Multiplicative hash over the profile id.
-        (pid.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % self.shards.len()
+        let idx = (pid.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize;
+        &self.shards[idx % self.shards.len()]
     }
 
     fn dirty_idx(&self, pid: ProfileId) -> usize {
         (pid.raw().wrapping_mul(0xC2B2_AE3D_27D4_EB4F) >> 33) as usize % self.dirty.len()
+    }
+
+    /// The resident entry for `pid`, leaving its recency alone.
+    fn resident(&self, pid: ProfileId) -> Option<SharedEntry> {
+        self.shard(pid).state.lock().resident.peek(pid).cloned()
     }
 
     /// Look up (or load) the entry for `pid`. `create` inserts an empty
@@ -273,84 +295,64 @@ impl<S: ProfileStore + 'static> GCache<S> {
             projection
         };
         let mut cache_span = ips_trace::child("cache");
-        let shard = &self.shards[self.shard_idx(pid)];
-        if let Some(entry) = shard.map.lock().get(&pid).map(Arc::clone) {
-            shard.lru.lock().touch(pid);
-            self.hit_ratio.hits.inc();
-            cache_span.set_attr("hit", "true");
-            drop(cache_span);
-            let cost = self.ensure_coverage(pid, &entry, effective)?;
-            return Ok(Some((entry, true, cost)));
-        }
-        // Missed the resident map: join an in-flight load or become its
-        // leader. The map is re-checked under the inflight lock: a
-        // completing leader inserts into the map *before* clearing its
-        // slot, so absent entry + absent slot here proves no load is in
-        // flight and we lead.
-        enum Role {
-            Leader(Arc<InflightLoad>),
-            Waiter(Arc<InflightLoad>),
-        }
-        let role = {
-            let mut inflight = shard.inflight.lock();
-            if let Some(entry) = shard.map.lock().get(&pid).map(Arc::clone) {
-                drop(inflight);
-                shard.lru.lock().touch(pid);
+        let shard = self.shard(pid);
+        // One lock decides hit, join or lead. A completing leader inserts
+        // its entry before clearing its slot, so absent entry + absent slot
+        // proves no load is in flight and we lead.
+        let (slot, leader) = {
+            let mut state = shard.state.lock();
+            if let Some(entry) = state.resident.get(pid).cloned() {
+                drop(state);
                 self.hit_ratio.hits.inc();
                 cache_span.set_attr("hit", "true");
                 drop(cache_span);
                 let cost = self.ensure_coverage(pid, &entry, effective)?;
                 return Ok(Some((entry, true, cost)));
             }
-            match inflight.get(&pid) {
-                Some(slot) => Role::Waiter(Arc::clone(slot)),
+            match state.inflight.get(&pid) {
+                Some(slot) => (Arc::clone(slot), false),
                 None => {
                     let slot = Arc::new(InflightLoad::default());
-                    inflight.insert(pid, Arc::clone(&slot));
-                    Role::Leader(slot)
+                    state.inflight.insert(pid, Arc::clone(&slot));
+                    (slot, true)
                 }
             }
         };
-        let slot = match role {
-            Role::Waiter(slot) => {
-                // Share the leader's load: count a coalesced access (NOT a
-                // second miss) and park until the result is published.
-                self.coalesced_loads.inc();
-                cache_span.set_attr("hit", "false");
-                cache_span.set_attr("coalesced", "true");
-                drop(cache_span);
-                slot.waiters.fetch_add(1, Ordering::Relaxed);
-                self.inflight_waiters.add(1);
-                let result = {
-                    let mut state = slot.state.lock();
-                    loop {
-                        if let Some(r) = state.as_ref() {
-                            break r.clone();
-                        }
-                        slot.cv.wait(&mut state);
+        if !leader {
+            // Share the leader's load: count a coalesced access (NOT a
+            // second miss) and park until the result is published.
+            self.coalesced_loads.inc();
+            cache_span.set_attr("hit", "false");
+            cache_span.set_attr("coalesced", "true");
+            drop(cache_span);
+            slot.waiters.fetch_add(1, Ordering::Relaxed);
+            self.inflight_waiters.add(1);
+            let result = {
+                let mut state = slot.state.lock();
+                loop {
+                    if let Some(r) = state.as_ref() {
+                        break r.clone();
                     }
-                };
-                self.inflight_waiters.sub(1);
-                return match result {
-                    LoadResult::Ready { entry, cost } => {
-                        shard.lru.lock().touch(pid);
-                        let mut total = cost;
-                        total.add(self.ensure_coverage(pid, &entry, effective)?);
-                        Ok(Some((entry, false, total)))
-                    }
-                    LoadResult::Missing if create => {
-                        // The leader was a plain read; create the empty
-                        // entry here without a second store load.
-                        let entry =
-                            self.insert_resident(shard, pid, ProfileData::new(), 0, Vec::new());
-                        Ok(Some((entry, false, ReadCost::default())))
-                    }
-                    LoadResult::Missing => Ok(None),
-                    LoadResult::Failed(e) => Err(e),
-                };
-            }
-            Role::Leader(slot) => slot,
-        };
+                    slot.cv.wait(&mut state);
+                }
+            };
+            self.inflight_waiters.sub(1);
+            return match result {
+                LoadResult::Ready { entry, cost } => {
+                    let mut total = cost;
+                    total.add(self.ensure_coverage(pid, &entry, effective)?);
+                    Ok(Some((entry, false, total)))
+                }
+                LoadResult::Missing if create => {
+                    // The leader was a plain read; create the empty entry
+                    // here without a second store load.
+                    let (entry, _) = self.insert_resident(pid, ProfileData::new(), 0, Vec::new());
+                    Ok(Some((entry, false, ReadCost::default())))
+                }
+                LoadResult::Missing => Ok(None),
+                LoadResult::Failed(e) => Err(e),
+            };
+        }
         // Leader: the one store load for this miss.
         self.hit_ratio.misses.inc();
         cache_span.set_attr("hit", "false");
@@ -366,27 +368,17 @@ impl<S: ProfileStore + 'static> GCache<S> {
             }
             r
         };
-        match loaded {
+        let (data, generation, missing, cost) = match loaded {
             Err(e) => {
                 self.publish_inflight(shard, pid, &slot, LoadResult::Failed(e.clone()));
-                Err(e)
+                return Err(e);
             }
             Ok(SliceLoadOutcome::Missing) if !create => {
                 self.publish_inflight(shard, pid, &slot, LoadResult::Missing);
-                Ok(None)
+                return Ok(None);
             }
             Ok(SliceLoadOutcome::Missing) => {
-                let entry = self.insert_resident(shard, pid, ProfileData::new(), 0, Vec::new());
-                self.publish_inflight(
-                    shard,
-                    pid,
-                    &slot,
-                    LoadResult::Ready {
-                        entry: Arc::clone(&entry),
-                        cost: ReadCost::default(),
-                    },
-                );
-                Ok(Some((entry, false, ReadCost::default())))
+                (ProfileData::new(), 0, Vec::new(), ReadCost::default())
             }
             Ok(SliceLoadOutcome::Loaded(LoadedSlices {
                 profile,
@@ -394,37 +386,40 @@ impl<S: ProfileStore + 'static> GCache<S> {
                 missing,
                 round_trips,
                 bytes_read,
-            })) => {
-                let cost = ReadCost {
+            })) => (
+                profile,
+                generation,
+                missing,
+                ReadCost {
                     round_trips,
                     bytes_read,
-                };
-                let entry = self.insert_resident(shard, pid, profile, generation, missing);
-                self.publish_inflight(
-                    shard,
-                    pid,
-                    &slot,
-                    LoadResult::Ready {
-                        entry: Arc::clone(&entry),
-                        cost,
-                    },
-                );
-                Ok(Some((entry, false, cost)))
-            }
-        }
+                },
+            ),
+        };
+        let (entry, _) = self.insert_resident(pid, data, generation, missing);
+        self.publish_inflight(
+            shard,
+            pid,
+            &slot,
+            LoadResult::Ready {
+                entry: Arc::clone(&entry),
+                cost,
+            },
+        );
+        Ok(Some((entry, false, cost)))
     }
 
-    /// Insert a freshly loaded (or created) profile into the resident map,
-    /// keeping the defensive double-check: if a racing path inserted first,
-    /// the existing entry wins and the new data is dropped.
+    /// Make a loaded, created or imported profile resident and account its
+    /// bytes. If a racing path made the profile resident first, that entry
+    /// wins and `data` is dropped (after the shard lock is released).
+    /// Returns the resident entry and whether this call inserted it.
     fn insert_resident(
         &self,
-        shard: &LruShard,
         pid: ProfileId,
         data: ProfileData,
         generation: Generation,
         missing: Vec<SliceRefInfo>,
-    ) -> Arc<Mutex<CacheEntry>> {
+    ) -> (SharedEntry, bool) {
         let bytes = data.approx_bytes();
         let entry = Arc::new(Mutex::new(CacheEntry {
             data,
@@ -432,30 +427,30 @@ impl<S: ProfileStore + 'static> GCache<S> {
             generation,
             missing,
             accounted_bytes: bytes,
+            evicted: false,
         }));
-        let mut map = shard.map.lock();
-        let entry = match map.get(&pid) {
-            Some(existing) => Arc::clone(existing),
-            None => {
-                map.insert(pid, Arc::clone(&entry));
-                shard.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-                self.total_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-                entry
-            }
-        };
-        drop(map);
-        shard.lru.lock().touch(pid);
+        let shard = self.shard(pid);
+        let mut state = shard.state.lock();
+        if let Some(existing) = state.resident.peek(pid) {
+            return (Arc::clone(existing), false);
+        }
+        // Accounted before the entry is visible, so its eviction can never
+        // subtract first.
+        shard.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.total_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        state.resident.insert(pid, Arc::clone(&entry));
+        drop(state);
         // Fresh data is resident again; the stale copy is superseded.
         if self.config.stale_pool_entries > 0 {
             self.stale.lock().map.remove(&pid);
         }
-        entry
+        (entry, true)
     }
 
     /// Publish an in-flight load's outcome and clear its slot. For `Ready`
-    /// results the entry is already in the resident map, so clearing the
-    /// slot here (under the inflight lock) keeps the invariant new missers
-    /// rely on: either the map has the entry or the slot is joinable.
+    /// results the entry is already resident, so clearing the slot keeps
+    /// the invariant new missers rely on: either the entry is resident or
+    /// the slot is joinable.
     fn publish_inflight(
         &self,
         shard: &LruShard,
@@ -463,7 +458,7 @@ impl<S: ProfileStore + 'static> GCache<S> {
         slot: &Arc<InflightLoad>,
         result: LoadResult,
     ) {
-        shard.inflight.lock().remove(&pid);
+        shard.state.lock().inflight.remove(&pid);
         let mut state = slot.state.lock();
         *state = Some(result);
         slot.cv.notify_all();
@@ -475,7 +470,7 @@ impl<S: ProfileStore + 'static> GCache<S> {
     fn ensure_coverage(
         &self,
         pid: ProfileId,
-        entry: &Arc<Mutex<CacheEntry>>,
+        entry: &SharedEntry,
         projection: &SliceProjection,
     ) -> Result<ReadCost> {
         let needed: Vec<SliceRefInfo> = {
@@ -536,40 +531,35 @@ impl<S: ProfileStore + 'static> GCache<S> {
 
     // ---- stale pool (degraded serving, §III-G) ----------------------------
 
-    /// Retain an evicted entry for degraded serving, reclaiming its data
+    /// Retain an evicted (already written back) entry for degraded
+    /// serving, FIFO-bounded by `stale_pool_entries`. The data is reclaimed
     /// without a deep copy when this was the last reference (the common,
-    /// uncontended case — the old per-eviction `data.clone()` was the
-    /// dominant allocation on the swap path). Partial entries are never
-    /// retained: a degraded read must not silently miss slices.
-    fn retain_stale_from(&self, pid: ProfileId, removed: Arc<Mutex<CacheEntry>>) {
-        if self.config.stale_pool_entries == 0 {
+    /// uncontended case — a per-eviction `data.clone()` was the dominant
+    /// allocation on the swap path). Partial entries are never retained: a
+    /// degraded read must not silently miss slices.
+    fn retain_stale_from(&self, pid: ProfileId, removed: SharedEntry) {
+        let cap = self.config.stale_pool_entries;
+        if cap == 0 {
             return;
         }
-        match Arc::try_unwrap(removed) {
+        let data = match Arc::try_unwrap(removed) {
             Ok(mutex) => {
                 let entry = mutex.into_inner();
-                if entry.missing.is_empty() {
-                    self.retain_stale(pid, entry.data);
+                if !entry.missing.is_empty() {
+                    return;
                 }
+                entry.data
             }
             Err(shared) => {
                 // A concurrent reader still holds the entry; fall back to a
                 // copy rather than waiting it out.
                 let guard = shared.lock();
-                if guard.missing.is_empty() {
-                    self.retain_stale(pid, guard.data.clone());
+                if !guard.missing.is_empty() {
+                    return;
                 }
+                guard.data.clone()
             }
-        }
-    }
-
-    /// Retain an evicted entry's (already-flushed) data for degraded
-    /// serving. FIFO-bounded by `stale_pool_entries`.
-    fn retain_stale(&self, pid: ProfileId, data: ProfileData) {
-        let cap = self.config.stale_pool_entries;
-        if cap == 0 {
-            return;
-        }
+        };
         let mut pool = self.stale.lock();
         let entry = StaleEntry {
             data,
@@ -615,11 +605,12 @@ impl<S: ProfileStore + 'static> GCache<S> {
     fn reaccount(&self, pid: ProfileId, entry: &mut CacheEntry) {
         let new_bytes = entry.data.approx_bytes();
         let old = entry.accounted_bytes;
-        if new_bytes == old {
+        // An evicted entry's bytes left the accounting with it.
+        if entry.evicted || new_bytes == old {
             return;
         }
         entry.accounted_bytes = new_bytes;
-        let shard = &self.shards[self.shard_idx(pid)];
+        let shard = self.shard(pid);
         if new_bytes >= old {
             let delta = (new_bytes - old) as u64;
             shard.bytes.fetch_add(delta, Ordering::Relaxed);
@@ -631,7 +622,12 @@ impl<S: ProfileStore + 'static> GCache<S> {
         }
     }
 
-    fn mark_dirty(&self, pid: ProfileId) {
+    /// Finish a mutation: mark the entry dirty, reaccount it, release it and
+    /// queue it for the flush threads.
+    fn mark_dirty(&self, pid: ProfileId, mut guard: MutexGuard<'_, CacheEntry>) {
+        guard.dirty = true;
+        self.reaccount(pid, &mut guard);
+        drop(guard);
         let shard = &self.dirty[self.dirty_idx(pid)];
         let mut q = shard.queue.lock();
         if q.1.insert(pid) {
@@ -648,18 +644,22 @@ impl<S: ProfileStore + 'static> GCache<S> {
         pid: ProfileId,
         f: impl FnOnce(&mut ProfileData) -> R,
     ) -> Result<(R, bool)> {
-        let (entry, hit, _cost) = self
-            .entry(pid, true, &SliceProjection::Full)?
-            // lint: allow(unwrap, reason = "entry(create=true) yields Some by construction; see entry()")
-            .expect("create=true always yields an entry");
-        let mut guard = entry.lock();
-        debug_assert!(guard.missing.is_empty(), "write path must be full");
-        let out = f(&mut guard.data);
-        guard.dirty = true;
-        self.reaccount(pid, &mut guard);
-        drop(guard);
-        self.mark_dirty(pid);
-        Ok((out, hit))
+        loop {
+            let (entry, hit, _cost) = self
+                .entry(pid, true, &SliceProjection::Full)?
+                // lint: allow(unwrap, reason = "entry(create=true) yields Some by construction; see entry()")
+                .expect("create=true always yields an entry");
+            let mut guard = entry.lock();
+            if guard.evicted {
+                // Evicted between lookup and lock: its writes are in the
+                // store, so look again and write into the reloaded entry.
+                continue;
+            }
+            debug_assert!(guard.missing.is_empty(), "write path must be full");
+            let out = f(&mut guard.data);
+            self.mark_dirty(pid, guard);
+            return Ok((out, hit));
+        }
     }
 
     /// Read the profile for `pid` (loading on miss). `Ok(None)` when the
@@ -698,41 +698,39 @@ impl<S: ProfileStore + 'static> GCache<S> {
         pid: ProfileId,
         f: impl FnOnce(&mut ProfileData) -> R,
     ) -> Option<R> {
-        let shard = &self.shards[self.shard_idx(pid)];
-        let entry = shard.map.lock().get(&pid).map(Arc::clone)?;
-        // A partial entry must be completed before it may go dirty; if the
-        // store is unavailable, skip the mutation (compaction retries).
-        if self
-            .ensure_coverage(pid, &entry, &SliceProjection::Full)
-            .is_err()
-        {
-            return None;
+        loop {
+            let entry = self.resident(pid)?;
+            // A partial entry must be completed before it may go dirty; if
+            // the store is unavailable, skip the mutation (compaction
+            // retries).
+            self.ensure_coverage(pid, &entry, &SliceProjection::Full)
+                .ok()?;
+            let mut guard = entry.lock();
+            if guard.evicted {
+                continue; // look again, as in `write`
+            }
+            if !guard.missing.is_empty() {
+                return None; // torn slices left it incomplete; don't dirty it
+            }
+            let out = f(&mut guard.data);
+            self.mark_dirty(pid, guard);
+            return Some(out);
         }
-        let mut guard = entry.lock();
-        if !guard.missing.is_empty() {
-            return None; // torn slices left it incomplete; don't dirty it
-        }
-        let out = f(&mut guard.data);
-        guard.dirty = true;
-        self.reaccount(pid, &mut guard);
-        drop(guard);
-        self.mark_dirty(pid);
-        Some(out)
     }
 
     /// Is the profile currently resident?
     #[must_use]
     pub fn contains(&self, pid: ProfileId) -> bool {
-        self.shards[self.shard_idx(pid)]
-            .map
-            .lock()
-            .contains_key(&pid)
+        self.shard(pid).state.lock().resident.peek(pid).is_some()
     }
 
     /// Number of resident profiles.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.map.lock().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.state.lock().resident.len())
+            .sum()
     }
 
     #[must_use]
@@ -765,29 +763,29 @@ impl<S: ProfileStore + 'static> GCache<S> {
                     None => break,
                 }
             };
-            self.flush_one(pid)?;
+            // An entry evicted meanwhile was written back by its eviction.
+            if let Some(entry) = self.resident(pid) {
+                self.write_back(pid, &mut entry.lock())?;
+            }
             flushed += 1;
         }
         Ok(flushed)
     }
 
-    fn flush_one(&self, pid: ProfileId) -> Result<()> {
-        let lru_shard = &self.shards[self.shard_idx(pid)];
-        let Some(entry) = lru_shard.map.lock().get(&pid).map(Arc::clone) else {
-            return Ok(()); // evicted meanwhile (eviction flushes first)
-        };
-        let mut guard = entry.lock();
-        if !guard.dirty {
+    /// Save a dirty entry to the store under its held generation and take
+    /// the new one. The one write-back of flush, eviction and export.
+    fn write_back(&self, pid: ProfileId, entry: &mut CacheEntry) -> Result<()> {
+        if !entry.dirty {
             return Ok(());
         }
         debug_assert!(
-            guard.missing.is_empty(),
+            entry.missing.is_empty(),
             "dirty entries are always full; flushing a partial would drop slices"
         );
-        let held = guard.generation;
-        let new_gen = self.persister.save(pid, &mut guard.data, held)?;
-        guard.generation = new_gen;
-        guard.dirty = false;
+        entry.generation = self
+            .persister
+            .save(pid, &mut entry.data, entry.generation)?;
+        entry.dirty = false;
         self.flushes.inc();
         Ok(())
     }
@@ -855,42 +853,15 @@ impl<S: ProfileStore + 'static> GCache<S> {
     /// Evict up to `max` cold entries from one shard, skipping contended
     /// entries via `try_lock`.
     fn evict_from_shard(&self, idx: usize, max: usize) -> Result<usize> {
-        let shard = &self.shards[idx];
-        let candidates = shard.lru.lock().coldest_n(max * 2);
+        let candidates = self.shards[idx].state.lock().resident.coldest_n(max * 2);
         let mut evicted = 0;
-        for pid in candidates {
+        for (pid, entry) in candidates {
             if evicted >= max {
                 break;
             }
-            let Some(entry) = shard.map.lock().get(&pid).map(Arc::clone) else {
-                shard.lru.lock().remove(pid);
-                continue;
-            };
-            // Fig 8: try_lock, skip to the next candidate on contention.
-            let Some(mut guard) = entry.try_lock() else {
-                self.swap_skips.inc();
-                continue;
-            };
-            if guard.dirty {
-                // Write-back before dropping from memory.
-                let held = guard.generation;
-                let new_gen = self.persister.save(pid, &mut guard.data, held)?;
-                guard.generation = new_gen;
-                guard.dirty = false;
-                self.flushes.inc();
+            if self.evict_entry(pid, entry, false)? {
+                evicted += 1;
             }
-            let bytes = guard.accounted_bytes as u64;
-            drop(guard);
-            let removed = shard.map.lock().remove(&pid);
-            shard.lru.lock().remove(pid);
-            shard.bytes.fetch_sub(bytes, Ordering::Relaxed);
-            self.total_bytes.fetch_sub(bytes, Ordering::Relaxed);
-            self.evictions.inc();
-            drop(entry);
-            if let Some(removed) = removed {
-                self.retain_stale_from(pid, removed);
-            }
-            evicted += 1;
         }
         Ok(evicted)
     }
@@ -898,30 +869,61 @@ impl<S: ProfileStore + 'static> GCache<S> {
     /// Evict one specific profile (tests / targeted invalidation). Flushes
     /// if dirty.
     pub fn evict(&self, pid: ProfileId) -> Result<bool> {
-        let shard = &self.shards[self.shard_idx(pid)];
-        let Some(entry) = shard.map.lock().get(&pid).map(Arc::clone) else {
+        match self.resident(pid) {
+            Some(entry) => self.evict_entry(pid, entry, true),
+            None => Ok(false),
+        }
+    }
+
+    /// The one eviction: write `entry` (resident for `pid`) back if dirty,
+    /// then, still under the entry lock, remove it from its shard, take its
+    /// bytes off the accounting and flag it `evicted`. Unless `wait`, a
+    /// contended entry is skipped (Fig 8: `try_lock`). Returns whether this
+    /// call evicted the entry.
+    fn evict_entry(&self, pid: ProfileId, entry: SharedEntry, wait: bool) -> Result<bool> {
+        let mut guard = if wait {
+            entry.lock()
+        } else if let Some(guard) = entry.try_lock() {
+            guard
+        } else {
+            self.swap_skips.inc();
             return Ok(false);
         };
-        let mut guard = entry.lock();
-        if guard.dirty {
-            let held = guard.generation;
-            let new_gen = self.persister.save(pid, &mut guard.data, held)?;
-            guard.generation = new_gen;
-            guard.dirty = false;
-            self.flushes.inc();
+        if guard.evicted {
+            return Ok(false);
         }
+        self.write_back(pid, &mut guard)?;
+        let shard = self.shard(pid);
+        let removed = shard.state.lock().resident.remove(pid);
+        debug_assert!(
+            removed.as_ref().is_some_and(|r| Arc::ptr_eq(r, &entry)),
+            "an entry not yet evicted is the resident one"
+        );
+        drop(removed);
+        guard.evicted = true;
         let bytes = guard.accounted_bytes as u64;
-        drop(guard);
-        let removed = shard.map.lock().remove(&pid);
-        shard.lru.lock().remove(pid);
         shard.bytes.fetch_sub(bytes, Ordering::Relaxed);
         self.total_bytes.fetch_sub(bytes, Ordering::Relaxed);
         self.evictions.inc();
-        drop(entry);
-        if let Some(removed) = removed {
-            self.retain_stale_from(pid, removed);
-        }
+        drop(guard);
+        self.retain_stale_from(pid, entry);
         Ok(true)
+    }
+
+    /// One shard's resident entries whose id matches `filter`, hottest
+    /// first.
+    fn resident_matching(
+        shard: &LruShard,
+        filter: &impl Fn(ProfileId) -> bool,
+    ) -> Vec<(ProfileId, SharedEntry)> {
+        shard
+            .state
+            .lock()
+            .resident
+            .iter_mru()
+            .filter(|&(pid, _)| filter(pid))
+            .map(|(pid, entry)| (pid, Arc::clone(entry)))
+            .collect()
     }
 
     // ---- shard handoff (hot-entry export / import) ------------------------
@@ -940,51 +942,37 @@ impl<S: ProfileStore + 'static> GCache<S> {
         max_entries: usize,
         max_bytes: u64,
     ) -> Result<ExportBatch> {
-        let lanes: Vec<Vec<ProfileId>> = self
+        let mut lanes: Vec<_> = self
             .shards
             .iter()
-            .map(|s| s.lru.lock().iter_mru().filter(|&p| filter(p)).collect())
+            .map(|s| Self::resident_matching(s, &filter).into_iter())
             .collect();
-        let mut order: Vec<ProfileId> = Vec::with_capacity(lanes.iter().map(Vec::len).sum());
-        let mut rank = 0usize;
+        let mut order = Vec::new();
         loop {
-            let mut any = false;
-            for lane in &lanes {
-                if let Some(&pid) = lane.get(rank) {
-                    order.push(pid);
-                    any = true;
-                }
-            }
-            if !any {
+            let before = order.len();
+            order.extend(lanes.iter_mut().filter_map(Iterator::next));
+            if order.len() == before {
                 break;
             }
-            rank += 1;
         }
         let mut batch = ExportBatch::default();
-        for pid in order {
+        for (pid, entry) in order {
             if batch.entries.len() >= max_entries || batch.bytes >= max_bytes {
                 batch.truncated = true;
                 break;
             }
-            let shard = &self.shards[self.shard_idx(pid)];
-            let Some(entry) = shard.map.lock().get(&pid).map(Arc::clone) else {
-                continue; // evicted since the LRU snapshot
-            };
             let Some(mut guard) = entry.try_lock() else {
                 batch.skipped += 1;
                 continue;
             };
+            if guard.evicted {
+                continue; // evicted since the LRU snapshot
+            }
             if !guard.missing.is_empty() {
                 batch.skipped += 1; // a partial snapshot would drop slices
                 continue;
             }
-            if guard.dirty {
-                let held = guard.generation;
-                let new_gen = self.persister.save(pid, &mut guard.data, held)?;
-                guard.generation = new_gen;
-                guard.dirty = false;
-                self.flushes.inc();
-            }
+            self.write_back(pid, &mut guard)?;
             batch.bytes += guard.accounted_bytes as u64;
             batch.entries.push(ExportedEntry {
                 pid,
@@ -1007,8 +995,7 @@ impl<S: ProfileStore + 'static> GCache<S> {
     pub fn import_entries(&self, entries: Vec<ExportedEntry>) -> Result<ImportReport> {
         let mut report = ImportReport::default();
         for e in entries.into_iter().rev() {
-            let shard = &self.shards[self.shard_idx(e.pid)];
-            if shard.map.lock().contains_key(&e.pid) {
+            if self.contains(e.pid) {
                 report.already_resident += 1;
                 continue;
             }
@@ -1021,29 +1008,14 @@ impl<S: ProfileStore + 'static> GCache<S> {
                     continue;
                 }
             }
-            let bytes = e.data.approx_bytes();
-            let entry = Arc::new(Mutex::new(CacheEntry {
-                data: e.data,
-                dirty: false,
-                generation: e.generation,
-                missing: Vec::new(),
-                accounted_bytes: bytes,
-            }));
+            if self
+                .insert_resident(e.pid, e.data, e.generation, Vec::new())
+                .1
             {
-                let mut map = shard.map.lock();
-                if map.contains_key(&e.pid) {
-                    report.already_resident += 1; // racing miss loaded it first
-                    continue;
-                }
-                map.insert(e.pid, entry);
-                shard.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-                self.total_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+                report.imported += 1;
+            } else {
+                report.already_resident += 1; // racing miss loaded it first
             }
-            shard.lru.lock().touch(e.pid);
-            if self.config.stale_pool_entries > 0 {
-                self.stale.lock().map.remove(&e.pid);
-            }
-            report.imported += 1;
         }
         Ok(report)
     }
@@ -1056,15 +1028,8 @@ impl<S: ProfileStore + 'static> GCache<S> {
     pub fn demote_matching(&self, filter: impl Fn(ProfileId) -> bool) -> Result<usize> {
         let mut demoted = 0;
         for shard in self.shards.iter() {
-            let matching: Vec<ProfileId> = shard
-                .map
-                .lock()
-                .keys()
-                .copied()
-                .filter(|&p| filter(p))
-                .collect();
-            for pid in matching {
-                if self.evict(pid)? {
+            for (pid, entry) in Self::resident_matching(shard, &filter) {
+                if self.evict_entry(pid, entry, true)? {
                     demoted += 1;
                 }
             }
@@ -1316,13 +1281,7 @@ mod tests {
         write_row(&c, 2, 1_000, 1);
         c.flush_all().unwrap();
         // Hold profile 1's entry lock on another thread.
-        let shard = &c.shards[c.shard_idx(ProfileId::new(1))];
-        let entry = shard
-            .map
-            .lock()
-            .get(&ProfileId::new(1))
-            .map(Arc::clone)
-            .unwrap();
+        let entry = c.resident(ProfileId::new(1)).unwrap();
         let guard = entry.lock();
         let evicted = c.swap_cycle().unwrap();
         // Profile 2 can go; profile 1 must be skipped, not deadlocked.
@@ -1907,5 +1866,100 @@ mod tests {
         }
         assert_eq!(c.hit_ratio.misses.get(), 1, "one miss for the whole herd");
         assert_eq!(c.stats().coalesced_loads, 7);
+    }
+    // ---- eviction racing writers -------------------------------------------
+
+    fn resident_bytes(c: &GCache<Arc<KvNode>>) -> u64 {
+        let entries: Vec<SharedEntry> = c
+            .shards
+            .iter()
+            .flat_map(|s| {
+                let state = s.state.lock();
+                state
+                    .resident
+                    .iter_mru()
+                    .map(|(_, e)| Arc::clone(e))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        entries
+            .iter()
+            .map(|e| e.lock().data.approx_bytes() as u64)
+            .sum()
+    }
+
+    /// Three writers add 3,000 unique features each to two profiles while
+    /// `evict_all` runs whenever another `STRIDE` writes have landed. After
+    /// a final flush, every acknowledged write must be in the store and the
+    /// byte accounting must match what is resident.
+    fn writes_survive_concurrent_eviction(
+        budget: usize,
+        evict_all: impl Fn(&GCache<Arc<KvNode>>) + Sync,
+    ) {
+        const WRITERS: u64 = 3;
+        const PER_WRITER: u64 = 3_000;
+        const STRIDE: u64 = 1024;
+        let c = cache(budget);
+        let written = AtomicU64::new(0);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let evictor = s.spawn(|| {
+                let mut seen = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    let now = written.load(Ordering::Relaxed);
+                    if now >= seen + STRIDE {
+                        seen = now;
+                        evict_all(&c);
+                    } else {
+                        std::thread::yield_now();
+                    }
+                }
+            });
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let (c, written) = (&c, &written);
+                    s.spawn(move || {
+                        for i in 0..PER_WRITER {
+                            let fid = w * PER_WRITER + i;
+                            write_row(c, fid % 2, 1_000, fid);
+                            written.fetch_add(1, Ordering::Relaxed);
+                        }
+                    })
+                })
+                .collect();
+            for h in writers {
+                h.join().unwrap();
+            }
+            stop.store(true, Ordering::Relaxed);
+            evictor.join().unwrap();
+        });
+        c.flush_all().unwrap();
+        assert_eq!(c.memory_bytes(), resident_bytes(&c), "accounting drifted");
+        let mut features = 0;
+        for pid in 0..2u64 {
+            c.evict(ProfileId::new(pid)).unwrap();
+            let (n, _) = c
+                .read(ProfileId::new(pid), |p| p.feature_count())
+                .unwrap()
+                .unwrap();
+            features += n as u64;
+        }
+        assert_eq!(features, WRITERS * PER_WRITER, "acknowledged writes lost");
+    }
+
+    #[test]
+    fn writes_racing_targeted_eviction_are_never_lost() {
+        writes_survive_concurrent_eviction(64 << 20, |c| {
+            for pid in 0..2u64 {
+                c.evict(ProfileId::new(pid)).unwrap();
+            }
+        });
+    }
+
+    #[test]
+    fn writes_racing_swap_cycles_are_never_lost() {
+        writes_survive_concurrent_eviction(16 << 10, |c| {
+            c.swap_cycle().unwrap();
+        });
     }
 }

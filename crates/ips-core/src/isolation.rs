@@ -50,13 +50,13 @@ pub struct WriteTable {
 }
 
 /// What `offer` decided to do with a write.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum WriteRoute {
     /// Buffered in the write table; the caller is done.
     Buffered,
-    /// The write table wants the caller to apply this write directly to the
-    /// main table (isolation off).
-    Direct,
+    /// Isolation is off: the write comes back for the caller to apply
+    /// directly to the main table.
+    Direct(BufferedWrite),
     /// Buffered, and the memory cap was hit: the caller must run
     /// [`WriteTable::drain`] now (eager merge).
     BufferedNeedsMerge,
@@ -87,11 +87,11 @@ impl WriteTable {
         self.enabled.load(Ordering::SeqCst)
     }
 
-    /// Route one write: buffer it when isolation is on, otherwise tell the
-    /// caller to apply it directly.
+    /// Route one write: buffer it when isolation is on, otherwise hand it
+    /// back for the caller to apply directly.
     pub fn offer(&self, pid: ProfileId, write: BufferedWrite) -> WriteRoute {
         if !self.is_enabled() {
-            return WriteRoute::Direct;
+            return WriteRoute::Direct(write);
         }
         let bytes = write.approx_bytes();
         {
@@ -193,7 +193,10 @@ mod tests {
             enabled: false,
             ..Default::default()
         });
-        assert_eq!(wt.offer(pid(1), write_at(1)), WriteRoute::Direct);
+        assert_eq!(
+            wt.offer(pid(1), write_at(1)),
+            WriteRoute::Direct(write_at(1))
+        );
         assert_eq!(wt.pending_writes(), 0);
     }
 
@@ -234,7 +237,10 @@ mod tests {
         let wt = WriteTable::new(IsolationConfig::default());
         assert!(wt.is_enabled());
         wt.set_enabled(false);
-        assert_eq!(wt.offer(pid(1), write_at(1)), WriteRoute::Direct);
+        assert_eq!(
+            wt.offer(pid(1), write_at(1)),
+            WriteRoute::Direct(write_at(1))
+        );
         wt.set_enabled(true);
         assert_eq!(wt.offer(pid(1), write_at(2)), WriteRoute::Buffered);
     }

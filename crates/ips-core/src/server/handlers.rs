@@ -79,16 +79,8 @@ impl IpsInstance {
             match rt.write_table.offer(pid, write) {
                 WriteRoute::Buffered => {}
                 WriteRoute::BufferedNeedsMerge => needs_merge = true,
-                WriteRoute::Direct => {
-                    // Collect and apply in one cache access below.
-                    direct.push(BufferedWrite {
-                        at,
-                        slot,
-                        action,
-                        feature: *feature,
-                        counts: counts.clone(),
-                    });
-                }
+                // Collect and apply in one cache access below.
+                WriteRoute::Direct(write) => direct.push(write),
             }
         }
         if !direct.is_empty() {

@@ -36,7 +36,8 @@ fn full_stack_concurrency_has_no_lock_order_cycles() {
     ));
     let mut table_cfg = TableConfig::new("lock-order");
     table_cfg.isolation.enabled = false;
-    table_cfg.cache.memory_budget_bytes = 2 << 20; // tight: exercises eviction
+    // Tight: each instance holds ~12 KiB of profiles, so its ticks evict.
+    table_cfg.cache.memory_budget_bytes = 8 << 10;
     let deployment = MultiRegionDeployment::build(
         MultiRegionOptions {
             regions: vec!["r0".into(), "r1".into()],
@@ -145,15 +146,16 @@ fn full_stack_concurrency_has_no_lock_order_cycles() {
         }));
     }
 
-    // Cache maintenance: explicit flush/swap cycles on every instance race
-    // against the writers' and queriers' shard locks.
+    // Cache maintenance: every instance's tick (write-table merge,
+    // compaction, flush and swap cycles) races the writers' and queriers'
+    // entry and shard locks, so eviction's entry → shard nesting is live.
     {
         let endpoints = deployment.all_endpoints();
         let stop = Arc::clone(&stop);
         handles.push(std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
                 for ep in &endpoints {
-                    ep.instance().flush_all().unwrap();
+                    ep.instance().tick().unwrap();
                 }
                 std::thread::yield_now();
             }
@@ -172,6 +174,16 @@ fn full_stack_concurrency_has_no_lock_order_cycles() {
         .join()
         .expect("maintenance must not hit a lock-order cycle either");
     drop(pump);
+
+    let evictions: u64 = deployment
+        .all_endpoints()
+        .iter()
+        .map(|ep| ep.instance().table(TABLE).unwrap().cache.stats().evictions)
+        .sum();
+    assert!(
+        evictions > 0,
+        "the maintenance ticks must evict under the detector"
+    );
 
     // Prove the instrumentation was actually live for this run: the stack
     // above registers many distinct lock sites and real nesting edges.
